@@ -1,11 +1,12 @@
 // Micro-benchmarks of the HSG substrate and ODNET serving path.
 //
 // `--plan-sweep` instead runs the capture/replay comparison: steady-state
-// eager vs plan-replay timing for the serving forward (PredictPlanned) and
-// the train step (TrainStepPlan), at 1 and 8 threads, plus the inference
+// eager vs plan-replay timing for a deep small-op chain and the serving
+// forward (PredictPlanned), at 1 and 8 threads, plus the serving plan's
 // memory-plan statistics, written machine-readably to
-// BENCH_plan_replay.json. ODNET_BENCH_SMOKE=1 shrinks iteration counts so
-// CI can watch for gross regressions without paying full timing fidelity.
+// BENCH_plan_replay.json together with the core count and CPU tier.
+// ODNET_BENCH_SMOKE=1 shrinks iteration counts so CI can watch for gross
+// regressions without paying full timing fidelity.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -23,14 +25,13 @@
 #include "src/data/encoding.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
-#include "src/optim/optimizer.h"
 #include "src/serving/batch_scorer.h"
 #include "src/serving/evaluator.h"
 #include "src/tensor/buffer_arena.h"
 #include "src/tensor/compute_context.h"
+#include "src/tensor/cpu_capability.h"
 #include "src/tensor/graph_plan.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/plan_optimizer.h"
 #include "src/util/check.h"
 #include "src/util/string_util.h"
 #include "src/util/table.h"
@@ -126,13 +127,11 @@ BENCHMARK(BM_OdnetInference)->Arg(10)->Arg(30);
 struct PlanRow {
   std::string section;
   int threads = 0;
-  int fused = -1;          // 1/0: captured with fusion on/off; -1: n/a
   double eager_us = 0.0;   // min-of-rounds mean (headline, noise-robust)
   double replay_us = 0.0;
   bench::LatencyHistogram eager_hist;   // per-iteration distributions
   bench::LatencyHistogram replay_hist;
-  tensor::MemoryPlanStats memory;       // this leg's captured plan
-  bool has_memory = false;
+  tensor::MemoryPlanStats memory;       // this row's captured plan
 };
 
 // The timed serving batch matches the chunked ranking path: ScoreChunked
@@ -144,12 +143,8 @@ constexpr size_t kServingBatch = serving::kScoreChunkSize;
 // on the same batch. The capture itself happens during warmup, so the timed
 // region measures pure replay. Both paths are timed in alternating rounds
 // and the per-iteration minimum is kept: min-of-rounds is robust against
-// the scheduler noise of a small shared machine. `fuse` selects the
-// optimizer A/B leg: the plan is captured (and its shape signature stamped)
-// with fusion forced on or off for this row.
-PlanRow TimeServing(int threads, int warmup, int iters, int rounds,
-                    bool fuse) {
-  tensor::FusionScope fusion(fuse);
+// the scheduler noise of a small shared machine.
+PlanRow TimeServing(int threads, int warmup, int iters, int rounds) {
   tensor::ComputeContext::Get().SetNumThreads(threads);
   const data::OdDataset& dataset = Dataset();
   core::OdnetConfig config;
@@ -166,7 +161,6 @@ PlanRow TimeServing(int threads, int warmup, int iters, int rounds,
   PlanRow row;
   row.section = "serving";
   row.threads = threads;
-  row.fused = fuse ? 1 : 0;
   for (int i = 0; i < warmup; ++i) (void)model.Predict(batch);
   for (int i = 0; i < warmup; ++i) (void)model.PredictPlanned(batch);
   const std::function<void()> eager = [&] { (void)model.Predict(batch); };
@@ -178,7 +172,6 @@ PlanRow TimeServing(int threads, int warmup, int iters, int rounds,
       bench::TimedRoundsUs(replay, iters, rounds, &row.replay_hist);
   ODNET_CHECK(model.serving_plan_stats().replays >= iters);
   row.memory = model.serving_plan_stats().memory;
-  row.has_memory = true;
   return row;
 }
 
@@ -189,9 +182,7 @@ PlanRow TimeServing(int threads, int warmup, int iters, int rounds,
 // runs the optimized path (NoGrad + thread-local arena leases), so the
 // measured gap is plan replay vs the best eager execution, not vs a straw
 // man.
-PlanRow TimeMicroGraph(int threads, int warmup, int iters, int rounds,
-                       bool fuse) {
-  tensor::FusionScope fusion(fuse);
+PlanRow TimeMicroGraph(int threads, int warmup, int iters, int rounds) {
   tensor::ComputeContext::Get().SetNumThreads(threads);
   constexpr int kLayers = 32;
   util::Rng rng(9119);
@@ -219,7 +210,6 @@ PlanRow TimeMicroGraph(int threads, int warmup, int iters, int rounds,
   PlanRow row;
   row.section = "micro_graph";
   row.threads = threads;
-  row.fused = fuse ? 1 : 0;
   for (int i = 0; i < warmup; ++i) {
     (void)run_eager();
     (void)plan->Replay({x});
@@ -230,86 +220,6 @@ PlanRow TimeMicroGraph(int threads, int warmup, int iters, int rounds,
   row.replay_us =
       bench::TimedRoundsUs(replay, iters, rounds, &row.replay_hist);
   row.memory = plan->memory_stats();
-  row.has_memory = true;
-  return row;
-}
-
-// One training setup for TimeTrainStep: the embedding-dominated synthetic
-// model of bench_table5 with its own optimizer state and index stream, so
-// twin setups evolve bitwise identically (the dense-equivalent sparse path
-// guarantees it) and neither path inherits the other's optimizer history —
-// the active-row set of the sparse Adam grows with coverage, so sharing
-// state would bill whichever path runs later for the larger set.
-struct TrainSetup {
-  static constexpr int64_t kVocab = 10000;
-  static constexpr int64_t kDim = 16;
-  static constexpr int64_t kHidden = 32;
-  static constexpr int64_t kBatch = 128;
-
-  TrainSetup()
-      : rng(1234),
-        table(tensor::Tensor::Randn({kVocab, kDim}, &rng, 0.05f,
-                                    /*requires_grad=*/true)),
-        w1(tensor::Tensor::Randn({kDim, kHidden}, &rng, 0.05f, true)),
-        w2(tensor::Tensor::Randn({kHidden, 1}, &rng, 0.05f, true)),
-        opt({table, w1, w2}, 0.01),
-        idx_rng(777),
-        indices(static_cast<size_t>(kBatch), 0) {}
-
-  tensor::Tensor Program() {
-    tensor::Tensor emb = tensor::EmbeddingLookup(table, indices, {kBatch});
-    tensor::Tensor h = tensor::Relu(tensor::MatMul(emb, w1));
-    tensor::Tensor logits = tensor::MatMul(h, w2);
-    return tensor::Mean(tensor::Mul(logits, logits));
-  }
-
-  void Step(bool planned) {
-    for (int64_t& ix : indices) ix = idx_rng.UniformInt(0, kVocab - 1);
-    if (planned) {
-      if (plan == nullptr) {
-        plan = tensor::TrainStepPlan::Capture([this] { return Program(); });
-      } else {
-        plan->ReplayForward();
-      }
-      opt.ZeroGrad();
-      plan->ReplayBackward();
-    } else {
-      tensor::Tensor loss = Program();
-      opt.ZeroGrad();
-      loss.Backward();
-    }
-    opt.ClipGradNorm(5.0);
-    opt.Step();
-  }
-
-  util::Rng rng;
-  tensor::Tensor table, w1, w2;
-  optim::Adam opt;
-  util::Rng idx_rng;
-  std::vector<int64_t> indices;
-  std::unique_ptr<tensor::TrainStepPlan> plan;
-};
-
-// Steady-state train-step cost: full eager tape build + Backward vs
-// TrainStepPlan ReplayForward/ReplayBackward, around identical optimizer
-// work on twin setups. Both paths are timed in alternating rounds and the
-// per-iteration minimum is kept (as in TimeServing).
-PlanRow TimeTrainStep(int threads, int warmup, int iters, int rounds) {
-  tensor::ComputeContext::Get().SetNumThreads(threads);
-  TrainSetup eager;
-  TrainSetup planned;
-
-  PlanRow row;
-  row.section = "train_step";
-  row.threads = threads;
-  for (int i = 0; i < warmup; ++i) eager.Step(false);
-  for (int i = 0; i < warmup; ++i) planned.Step(true);
-  const std::function<void()> eager_step = [&] { eager.Step(false); };
-  const std::function<void()> planned_step = [&] { planned.Step(true); };
-  row.eager_us =
-      bench::TimedRoundsUs(eager_step, iters, rounds, &row.eager_hist);
-  row.replay_us =
-      bench::TimedRoundsUs(planned_step, iters, rounds, &row.replay_hist);
   return row;
 }
 
@@ -318,27 +228,21 @@ int RunPlanSweep() {
   const int warmup = smoke ? 2 : 10;
   const int iters = smoke ? 3 : 40;
   const int rounds = smoke ? 1 : 5;
+  const unsigned cores = std::thread::hardware_concurrency();
+  const char* cpu_tier =
+      tensor::CpuCapabilityName(tensor::ActiveCpuCapability());
 
-  std::printf("=== Plan capture/replay sweep (%d iters x %d rounds%s) ===\n",
-              iters, rounds, smoke ? ", smoke" : "");
+  std::printf(
+      "=== Plan capture/replay sweep (%d iters x %d rounds, %u cores, %s%s) "
+      "===\n",
+      iters, rounds, cores, cpu_tier, smoke ? ", smoke" : "");
   std::vector<PlanRow> rows;
   for (int threads : {1, 8}) {
-    // Fusion A/B: the unfused leg captures with the optimizer forced off,
-    // the fused leg with it on — same program, same kernels underneath, so
-    // the replay delta is the fusion pass alone.
-    for (bool fuse : {false, true}) {
-      rows.push_back(TimeMicroGraph(threads, warmup, iters * 4, rounds,
-                                    fuse));
-      std::printf("finished micro_graph threads=%d fused=%d\n", threads,
-                  fuse ? 1 : 0);
-      std::fflush(stdout);
-      rows.push_back(TimeServing(threads, warmup, iters, rounds, fuse));
-      std::printf("finished serving threads=%d fused=%d\n", threads,
-                  fuse ? 1 : 0);
-      std::fflush(stdout);
-    }
-    rows.push_back(TimeTrainStep(threads, warmup, iters, rounds));
-    std::printf("finished train_step threads=%d\n", threads);
+    rows.push_back(TimeMicroGraph(threads, warmup, iters * 4, rounds));
+    std::printf("finished micro_graph threads=%d\n", threads);
+    std::fflush(stdout);
+    rows.push_back(TimeServing(threads, warmup, iters, rounds));
+    std::printf("finished serving threads=%d\n", threads);
     std::fflush(stdout);
   }  // rows are move-only (histograms); iterate by reference below
 
@@ -358,10 +262,12 @@ int RunPlanSweep() {
   const tensor::MemoryPlanStats memory = model.serving_plan_stats().memory;
 
   util::AsciiTable table(
-      {"Section", "Threads", "Fusion", "Eager us", "Replay us", "Speedup"});
+      {"Section", "Threads", "Eager us", "Replay us", "Speedup"});
   std::string json = "{\n  \"bench\": \"plan_replay\",\n  \"smoke\": ";
   json += smoke ? "true" : "false";
-  json += ",\n  \"iters\": " + std::to_string(iters) +
+  json += ",\n  \"cores\": " + std::to_string(cores) +
+          ",\n  \"cpu_capability\": \"" + cpu_tier +
+          "\",\n  \"iters\": " + std::to_string(iters) +
           ",\n  \"methodology\": \"" +
           std::string(bench::kHistMethodologyNote) +
           "\",\n  \"results\": [\n";
@@ -369,9 +275,7 @@ int RunPlanSweep() {
   for (const PlanRow& row : rows) {
     const double speedup =
         row.replay_us > 0.0 ? row.eager_us / row.replay_us : 0.0;
-    const char* fusion_label =
-        row.fused < 0 ? "-" : (row.fused == 1 ? "on" : "off");
-    table.AddRow({row.section, std::to_string(row.threads), fusion_label,
+    table.AddRow({row.section, std::to_string(row.threads),
                   util::FormatFixed(row.eager_us, 1),
                   util::FormatFixed(row.replay_us, 1),
                   util::FormatFixed(speedup, 2) + "x"});
@@ -379,52 +283,15 @@ int RunPlanSweep() {
     first = false;
     json += "    {\"section\": \"" + row.section +
             "\", \"threads\": " + std::to_string(row.threads) +
-            ", \"fused\": " +
-            (row.fused < 0 ? "null" : (row.fused == 1 ? "true" : "false")) +
             ", \"eager_us\": " + util::FormatFixed(row.eager_us, 2) +
             ", \"replay_us\": " + util::FormatFixed(row.replay_us, 2) +
             ", \"speedup\": " + util::FormatFixed(speedup, 3) + ", " +
             row.eager_hist.JsonFields("eager_") + ", " +
-            row.replay_hist.JsonFields("replay_");
-    if (row.has_memory) {
-      json += ", \"plan\": {\"num_nodes\": " +
-              std::to_string(row.memory.num_nodes) +
-              ", \"fused_nodes\": " + std::to_string(row.memory.fused_nodes) +
-              ", \"folded_nodes\": " +
-              std::to_string(row.memory.folded_nodes) +
-              ", \"elided_values\": " +
-              std::to_string(row.memory.elided_values) +
-              ", \"peak_bytes\": " + std::to_string(row.memory.peak_bytes) +
-              "}";
-    }
-    json += "}";
-  }
-  // Fusion A/B headline: fused vs unfused replay of the same section at the
-  // same thread count (eager is fusion-independent; replay is the product).
-  json += "\n  ],\n  \"fusion_ab\": [\n";
-  first = true;
-  for (const PlanRow& row : rows) {
-    if (row.fused != 1) continue;
-    const PlanRow* unfused = nullptr;
-    for (const PlanRow& other : rows) {
-      if (other.fused == 0 && other.section == row.section &&
-          other.threads == row.threads) {
-        unfused = &other;
-      }
-    }
-    if (unfused == nullptr || row.replay_us <= 0.0) continue;
-    const double ab = unfused->replay_us / row.replay_us;
-    std::printf("fusion A/B %s threads=%d: %.1fus -> %.1fus (%.2fx)\n",
-                row.section.c_str(), row.threads, unfused->replay_us,
-                row.replay_us, ab);
-    if (!first) json += ",\n";
-    first = false;
-    json += "    {\"section\": \"" + row.section +
-            "\", \"threads\": " + std::to_string(row.threads) +
-            ", \"unfused_replay_us\": " +
-            util::FormatFixed(unfused->replay_us, 2) +
-            ", \"fused_replay_us\": " + util::FormatFixed(row.replay_us, 2) +
-            ", \"fusion_speedup\": " + util::FormatFixed(ab, 3) + "}";
+            row.replay_hist.JsonFields("replay_") +
+            ", \"plan\": {\"num_nodes\": " +
+            std::to_string(row.memory.num_nodes) +
+            ", \"peak_bytes\": " + std::to_string(row.memory.peak_bytes) +
+            "}}";
   }
   json += "\n  ],\n  \"memory_plan\": {\"num_nodes\": " +
           std::to_string(memory.num_nodes) +
@@ -433,25 +300,16 @@ int RunPlanSweep() {
           ", \"requested_bytes\": " + std::to_string(memory.requested_bytes) +
           ", \"peak_bytes\": " + std::to_string(memory.peak_bytes) +
           ", \"reuse_ratio\": " + util::FormatFixed(memory.reuse_ratio, 3) +
-          ", \"fused_nodes\": " + std::to_string(memory.fused_nodes) +
-          ", \"folded_nodes\": " + std::to_string(memory.folded_nodes) +
-          ", \"elided_values\": " + std::to_string(memory.elided_values) +
-          ", \"elided_bytes\": " + std::to_string(memory.elided_bytes) +
           "}\n}\n";
   std::printf("\n");
   table.Print();
   std::printf(
       "\nmemory plan: %lld values -> %lld buffers, %lld -> %lld bytes "
-      "(reuse %.0f%%); fusion: %lld fused nests, %lld folded, "
-      "%lld values / %lld bytes elided\n",
+      "(reuse %.0f%%)\n",
       static_cast<long long>(memory.num_values),
       static_cast<long long>(memory.num_buffers),
       static_cast<long long>(memory.requested_bytes),
-      static_cast<long long>(memory.peak_bytes), memory.reuse_ratio * 100.0,
-      static_cast<long long>(memory.fused_nodes),
-      static_cast<long long>(memory.folded_nodes),
-      static_cast<long long>(memory.elided_values),
-      static_cast<long long>(memory.elided_bytes));
+      static_cast<long long>(memory.peak_bytes), memory.reuse_ratio * 100.0);
   std::ofstream out("BENCH_plan_replay.json");
   out << json;
   out.close();

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   flags.AddInt("requests", 4, "number of serving requests to demo");
   flags.AddInt("train-workers", 1,
                "data-parallel training workers (>1 enables the sharded "
-               "parameter-server trainer, DESIGN.md section 15)");
+               "parameter-server trainer, DESIGN.md section 14)");
   flags.AddInt("shards", 1, "embedding store shards for the trainer");
   flags.AddString("ps-mode", "sync",
                   "parameter-server consistency: sync (deterministic "

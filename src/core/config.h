@@ -35,16 +35,7 @@ struct OdnetConfig {
   int64_t t_short = 5;   // kept short-term sequence length
   uint64_t seed = 1234;
 
-  /// Capture the train step into a TrainStepPlan on the first batch of each
-  /// shape signature and replay it for subsequent batches (DESIGN.md §10).
-  /// Replay is bitwise identical to the eager step; default off so the
-  /// long-standing eager path stays the reference.
-  bool capture_train_plan = false;
-  /// Capture per-shape inference plans in PredictPlanned/serving so
-  /// steady-state scoring performs zero graph construction (DESIGN.md §10).
-  bool capture_serving_plans = true;
-
-  // Data-parallel parameter-server training (DESIGN.md §15). With
+  // Data-parallel parameter-server training (DESIGN.md §14). With
   // train_workers == 1 (default) the trainer runs the original
   // single-threaded loop, bit for bit.
   /// Number of data-parallel trainer workers, each running forward/backward

@@ -67,7 +67,7 @@ class Hsgc : public nn::Module {
   /// workers reseed their replica's stream per batch slice with
   /// util::Rng::StreamSeed(seed, epoch, step, slice) so the sampled
   /// neighborhoods depend on the slice being processed, never on which
-  /// worker ran it (DESIGN.md §15). Not thread-safe against a concurrent
+  /// worker ran it (DESIGN.md §14). Not thread-safe against a concurrent
   /// Forward/EmbedUsers on the same instance — each worker owns a replica.
   void SeedSampleStream(uint64_t seed) { sample_rng_ = util::Rng(seed); }
 

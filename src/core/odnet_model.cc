@@ -5,7 +5,6 @@
 #include "src/data/temporal_features.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/plan_optimizer.h"
 
 namespace odnet {
 namespace core {
@@ -141,13 +140,9 @@ std::pair<std::vector<double>, std::vector<double>> OdnetModel::Predict(
 namespace {
 
 std::string ShapeSignature(const data::OdBatch& batch) {
-  // The fusion state is part of the signature: a plan captured with fusion
-  // on must never be served to a caller that expects an unfused plan (the
-  // A/B bench legs and ODNET_PLAN_FUSION=0 runs rely on this).
   return std::to_string(batch.origin.batch) + "x" +
          std::to_string(batch.origin.t_long) + "x" +
-         std::to_string(batch.origin.t_short) +
-         (tensor::PlanFusionEnabled() ? "|f1" : "|f0");
+         std::to_string(batch.origin.t_short);
 }
 
 // Registry-facing plan-cache instruments (ISSUE 7): hits are replays,
@@ -180,16 +175,12 @@ void PublishMemoryPlanStats(const tensor::MemoryPlanStats& m) {
   reg.GetGauge("serving.plan_cache.memory.peak_bytes")->Set(m.peak_bytes);
   reg.GetGauge("serving.plan_cache.memory.requested_bytes")
       ->Set(m.requested_bytes);
-  reg.GetGauge("serving.plan_cache.memory.fused_nodes")->Set(m.fused_nodes);
-  reg.GetGauge("serving.plan_cache.memory.folded_nodes")->Set(m.folded_nodes);
-  reg.GetGauge("serving.plan_cache.memory.elided_bytes")->Set(m.elided_bytes);
 }
 
 }  // namespace
 
 std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
     const data::OdBatch& batch) {
-  if (!config_.capture_serving_plans) return Predict(batch);
   const std::string sig = ShapeSignature(batch);
   auto it = serving_plans_.find(sig);
   if (it == serving_plans_.end()) {

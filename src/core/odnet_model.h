@@ -88,8 +88,7 @@ class OdnetModel : public nn::Module {
   /// of each shape signature (batch size, t_long, t_short) is an eager
   /// capture, subsequent same-shape batches replay the plan with zero graph
   /// construction or storage allocation. Bitwise identical to Predict. A
-  /// shape change falls back to an eager capture of a new plan. With
-  /// config.capture_serving_plans off this IS Predict.
+  /// shape change falls back to an eager capture of a new plan.
   std::pair<std::vector<double>, std::vector<double>> PredictPlanned(
       const data::OdBatch& batch);
 

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,7 +18,6 @@
 #include "src/tensor/buffer_arena.h"
 #include "src/tensor/compute_context.h"
 #include "src/tensor/grad_delta.h"
-#include "src/tensor/graph_plan.h"
 #include "src/util/logging.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
@@ -72,24 +70,6 @@ TrainStats OdnetTrainer::TrainSingleWorker() {
   std::shared_ptr<util::ThreadPool> pool =
       tensor::ComputeContext::Get().shared_pool();
 
-  // Captured train-step plans keyed by shape signature (batch size and
-  // sequence lengths; the optimizer's sparse mode rides along so a config
-  // change can never replay a stale plan). A signature miss falls back to
-  // eager execution — the capture itself IS one eager step — and caches the
-  // new plan; steady state then replays the retained tape per batch with no
-  // graph construction (DESIGN.md §10).
-  struct PlanEntry {
-    std::unique_ptr<data::OdBatch> bound;  // stable host object for closures
-    std::unique_ptr<tensor::TrainStepPlan> plan;
-  };
-  std::map<std::string, PlanEntry> plans;
-  auto signature = [&config](const data::OdBatch& b) {
-    return std::to_string(b.origin.batch) + "x" +
-           std::to_string(b.origin.t_long) + "x" +
-           std::to_string(b.origin.t_short) + "|" +
-           config.sparse_embedding_updates;
-  };
-
   // Per-epoch/per-step latency instruments; clock reads gated on Enabled().
   telemetry::Histogram* step_ns =
       telemetry::TelemetryRegistry::Get().GetHistogram("train.step_ns");
@@ -125,25 +105,7 @@ TrainStats OdnetTrainer::TrainSingleWorker() {
       telemetry::SpanScope step_span("Trainer.Step", "train");
       const int64_t step_start_ns =
           telemetry::Enabled() ? telemetry::NowNs() : 0;
-      if (config.capture_train_plan) {
-        auto it = plans.find(signature(current));
-        if (it == plans.end()) {
-          PlanEntry entry;
-          entry.bound = std::make_unique<data::OdBatch>(current);
-          const data::OdBatch* bound = entry.bound.get();
-          entry.plan = tensor::TrainStepPlan::Capture(
-              [this, bound]() { return model_->Loss(*bound); });
-          it = plans.emplace(signature(current), std::move(entry)).first;
-        } else {
-          data::CopyOdBatchContents(current, it->second.bound.get());
-          it->second.plan->ReplayForward();
-        }
-        optimizer.ZeroGrad();
-        it->second.plan->ReplayBackward();
-        optimizer.ClipGradNorm(5.0);
-        optimizer.Step();
-        loss_value = it->second.plan->loss().item();
-      } else {
+      {
         // Eager step; op results lease from the thread's arena and are
         // recycled when the scope resets it after the optimizer update.
         tensor::ArenaScope arena(tensor::BufferArena::ThreadLocal());
@@ -207,8 +169,6 @@ TrainStats OdnetTrainer::TrainDataParallel() {
       << "train_workers > 1 requires set_replica_factory()";
   ODNET_CHECK(config.sparse_embedding_updates == "dense-equivalent")
       << "data-parallel training supports dense-equivalent updates only";
-  ODNET_CHECK(!config.capture_train_plan)
-      << "capture_train_plan is a single-worker feature";
   const bool async = config.ps_mode == "async";
   ODNET_CHECK(async || config.ps_mode == "sync")
       << "unknown ps_mode: " << config.ps_mode;

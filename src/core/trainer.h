@@ -27,7 +27,7 @@ struct TrainStats {
 ///
 /// With config.train_workers == 1 (default) this is the original
 /// single-threaded loop, bit for bit. With train_workers > 1 it becomes a
-/// data-parallel parameter-server trainer (DESIGN.md §15): each batch is
+/// data-parallel parameter-server trainer (DESIGN.md §14): each batch is
 /// split into config.train_grad_slices fixed micro-slices, a gang of
 /// train_workers threads runs forward/backward on storage-aliased model
 /// replicas (one per worker; weights shared, gradients private), and the

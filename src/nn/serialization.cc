@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 
 namespace odnet {
@@ -95,6 +96,13 @@ util::Status LoadParameters(Module* module, const std::string& path) {
     return util::Status::IoError("cannot open: " + path);
   }
   FileCloser file(raw);
+  if (std::fseek(file.get(), 0, SEEK_END) != 0) {
+    return util::Status::IoError("cannot seek: " + path);
+  }
+  const long file_size = std::ftell(file.get());
+  if (file_size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    return util::Status::IoError("cannot seek: " + path);
+  }
 
   char magic[4];
   ODNET_RETURN_NOT_OK(ReadBytes(file.get(), magic, sizeof(magic)));
@@ -126,8 +134,25 @@ util::Status LoadParameters(Module* module, const std::string& path) {
     int64_t numel = 1;
     for (uint64_t d = 0; d < rank; ++d) {
       ODNET_ASSIGN_OR_RETURN(uint64_t dim, ReadU64(file.get()));
+      if (dim > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+        return util::Status::InvalidArgument("negative dimension for " + name);
+      }
       shape[d] = static_cast<int64_t>(dim);
+      if (shape[d] != 0 &&
+          numel > std::numeric_limits<int64_t>::max() / shape[d]) {
+        return util::Status::InvalidArgument("element count overflows for " +
+                                             name);
+      }
       numel *= shape[d];
+    }
+    // Validate against the bytes actually present before allocating, so a
+    // corrupt header fails with a Status instead of a huge allocation.
+    const int64_t bytes_left = file_size - std::ftell(file.get());
+    if (numel > bytes_left / static_cast<int64_t>(sizeof(float))) {
+      return util::Status::InvalidArgument(
+          "tensor " + name + " needs " + std::to_string(numel) +
+          " floats but only " + std::to_string(bytes_left) +
+          " bytes remain");
     }
     std::vector<float> values(static_cast<size_t>(numel));
     ODNET_RETURN_NOT_OK(ReadBytes(file.get(), values.data(),

@@ -21,7 +21,7 @@ util::Status SaveParameters(const Module& module, const std::string& path);
 /// Checkpointing while a sharded trainer may be applying updates: holds
 /// every shard lock of `store` (in order) for the duration of the write,
 /// so the snapshot can never observe a torn row — appliers mutate rows
-/// only under their owning shard's mutex (DESIGN.md §15). With a null
+/// only under their owning shard's mutex (DESIGN.md §14). With a null
 /// store this is the plain SaveParameters. Not safe against async/hogwild
 /// CAS appliers, which bypass the shard mutexes by design.
 util::Status SaveParameters(const Module& module, const std::string& path,

@@ -13,7 +13,7 @@ namespace odnet {
 namespace nn {
 
 /// \brief Logical row-sharding layer over a model's parameter tensors
-/// (DESIGN.md §15).
+/// (DESIGN.md §14).
 ///
 /// The store does not move any data: parameters keep their contiguous
 /// storage, registered through the ordinary nn::Module interface, so

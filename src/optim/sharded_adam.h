@@ -13,7 +13,7 @@ namespace odnet {
 namespace optim {
 
 /// \brief Adam whose slot state (m/v) lives inside a ShardedEmbeddingStore,
-/// applied shard-parallel under per-shard locks (DESIGN.md §15).
+/// applied shard-parallel under per-shard locks (DESIGN.md §14).
 ///
 /// Synchronous-mode contract: Step() is bitwise identical to plain Adam in
 /// dense-equivalent mode for every shard count. Row ownership partitions

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "src/serving/batch_scorer.h"
@@ -57,6 +59,7 @@ ServingRouter::ServingRouter(const RankingService* service,
   requests_ = reg.GetCounter("serving.router.requests");
   batches_ = reg.GetCounter("serving.router.batches");
   shed_ = reg.GetCounter("serving.router.shed");
+  failed_ = reg.GetCounter("serving.router.failed");
   batched_rows_ = reg.GetCounter("serving.router.batched_rows");
   padded_rows_ = reg.GetCounter("serving.router.padded_rows");
   queue_depth_ = reg.GetGauge("serving.router.queue_depth");
@@ -253,6 +256,39 @@ void ServingRouter::ProcessBatch(std::vector<Pending> batch, int64_t rows) {
     }
   }
 
+  // Every request's scored list is built before any request completes, so
+  // a throwing model fails the whole batch with kInternal instead of
+  // killing this worker thread and leaving the batch's futures unresolved.
+  auto fail_batch = [this, &batch](const std::string& what) {
+    failed_->Add(static_cast<int64_t>(batch.size()));
+    for (Pending& pending : batch) {
+      pending.done(
+          TopKResult(util::Status::Internal("scoring failed: " + what)));
+    }
+  };
+  std::vector<std::shared_ptr<std::vector<RankedFlight>>> scored;
+  try {
+    scored = ScoreBatch(batch, rows);
+  } catch (const std::exception& e) {
+    fail_batch(e.what());
+    return;
+  } catch (...) {
+    fail_batch("unknown exception");
+    return;
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Pending& pending = batch[i];
+    std::vector<RankedFlight> top = SelectTopK(*scored[i], pending.k);
+    if (coalesce_) {
+      scored_cache_.InsertShared(pending.user, std::move(scored[i]));
+    }
+    pending.done(TopKResult(std::move(top)));
+  }
+}
+
+std::vector<std::shared_ptr<std::vector<RankedFlight>>>
+ServingRouter::ScoreBatch(const std::vector<Pending>& batch,
+                          int64_t rows) const {
   // One contiguous row block for the whole batch; offsets[i] .. offsets[i+1]
   // is request i's slice.
   std::vector<data::Sample> all_rows;
@@ -283,19 +319,19 @@ void ServingRouter::ProcessBatch(std::vector<Pending> batch, int64_t rows) {
     scores = ScoreChunked(service_->model(), *service_->dataset(), all_rows);
   }
 
+  std::vector<std::shared_ptr<std::vector<RankedFlight>>> scored;
+  scored.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    Pending& pending = batch[i];
-    auto scored = std::make_shared<std::vector<RankedFlight>>();
-    scored->reserve(offsets[i + 1] - offsets[i]);
+    auto list = std::make_shared<std::vector<RankedFlight>>();
+    list->reserve(offsets[i + 1] - offsets[i]);
     for (size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
-      scored->push_back(
-          RankedFlight{(*pending.candidates)[j - offsets[i]],
+      list->push_back(
+          RankedFlight{(*batch[i].candidates)[j - offsets[i]],
                        service_->model()->CombinedScore(scores[j])});
     }
-    std::vector<RankedFlight> top = SelectTopK(*scored, pending.k);
-    if (coalesce_) scored_cache_.InsertShared(pending.user, std::move(scored));
-    pending.done(TopKResult(std::move(top)));
+    scored.push_back(std::move(list));
   }
+  return scored;
 }
 
 }  // namespace serving

@@ -61,7 +61,7 @@ struct RouterOptions {
 
 /// A served list or a typed refusal (kUnavailable: shed by admission
 /// control; kFailedPrecondition: router shut down; kInvalidArgument: bad
-/// user/k).
+/// user/k; kInternal: the model threw while scoring the request's batch).
 using TopKResult = util::Result<std::vector<RankedFlight>>;
 
 /// \brief Async request router in front of RankingService: accepts
@@ -86,8 +86,12 @@ using TopKResult = util::Result<std::vector<RankedFlight>>;
 /// state are dispatched one request per batch on a single worker, which
 /// reproduces the serial call sequence when submissions are serial.
 ///
+/// A model that throws while a batch is scored fails that batch only: each
+/// of its requests completes with kInternal and is counted in
+/// serving.router.failed, and the worker goes on serving the queue.
+///
 /// Telemetry (category "serving"): serving.router.{requests,batches,shed,
-/// batched_rows,padded_rows} counters, cache counters under
+/// failed,batched_rows,padded_rows} counters, cache counters under
 /// serving.router.cache.* (candidate lists) and serving.router.scored.*
 /// (scored lists), serving.router.queue_depth gauge,
 /// serving.router.batch_rows + serving.router.queue_wait_ns histograms, and
@@ -146,6 +150,10 @@ class ServingRouter {
   /// Pops queue_ front into `batch` (mutex_ held). Returns its row count.
   int64_t TakeFront(std::vector<Pending>* batch);
   void ProcessBatch(std::vector<Pending> batch, int64_t rows);
+  /// Recall rows, padding and scoring of one batch: request i's scored
+  /// (pre-top-k) candidate list at index i. Throws what the model throws.
+  std::vector<std::shared_ptr<std::vector<RankedFlight>>> ScoreBatch(
+      const std::vector<Pending>& batch, int64_t rows) const;
   std::shared_ptr<const std::vector<data::OdPair>> CandidatesFor(
       int64_t user);
 
@@ -168,6 +176,7 @@ class ServingRouter {
   telemetry::Counter* requests_;
   telemetry::Counter* batches_;
   telemetry::Counter* shed_;
+  telemetry::Counter* failed_;
   telemetry::Counter* batched_rows_;
   telemetry::Counter* padded_rows_;
   telemetry::Gauge* queue_depth_;

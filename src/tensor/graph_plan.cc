@@ -7,23 +7,76 @@
 #include <utility>
 
 #include "src/telemetry/telemetry.h"
-#include "src/tensor/plan_ir.h"
-#include "src/tensor/plan_optimizer.h"
 
 namespace odnet {
 namespace tensor {
-
-// The capture-time IR (RecNode/RecValue/Recorder) lives in plan_ir.h so the
-// optimizer (plan_optimizer.cc) can rewrite it between capture and lowering.
-using plan_ir::RecNode;
-using plan_ir::RecValue;
-using plan_ir::Recorder;
 
 namespace {
 
 // ---------------------------------------------------------------------------
 // Recording
 // ---------------------------------------------------------------------------
+
+struct RecNode {
+  ReplayKernel kernel;           // op node
+  std::function<void()> host;    // host-stage node
+  std::vector<int> ins;
+  int out = -1;
+  bool zero_out = false;
+  int alias_of = -1;             // >= 0: `out` aliases this value's buffer
+  const char* name = nullptr;    // telemetry::CurrentOpName() at record time
+};
+
+struct RecValue {
+  std::shared_ptr<internal::TensorImpl> impl;
+  int producer = -1;     // producing node; -1 = external (constant/input)
+  int input_index = -1;  // >= 0 when pre-registered as a rebindable input
+  int64_t numel = 0;
+};
+
+// One in-flight capture. Installed thread-locally while the program runs;
+// ops funnel through capture::RecordOp / RecordAlias.
+struct Recorder {
+  std::vector<RecValue> values;
+  std::vector<RecNode> nodes;
+  std::unordered_map<const internal::TensorImpl*, int> ids;
+  int64_t tensors_created = 0;  // MakeForOp/MakeViewForOp calls
+  int64_t ops_recorded = 0;     // RecordOp/RecordAlias calls
+  bool host_data = false;       // some kernel closes over host state
+
+  // Value id of `t`, registering it as an external (constant) on first
+  // sight. Externals must be owned: an arena-leased constant would dangle
+  // after the arena resets while the plan still references its buffer.
+  int IdFor(const Tensor& t) {
+    ODNET_CHECK(t.defined());
+    auto it = ids.find(t.impl());
+    if (it != ids.end()) return it->second;
+    ODNET_CHECK(t.impl()->lease == nullptr)
+        << "captured constant is arena-leased; plans may only retain owned "
+           "storage (Clone() it before capture)";
+    const int id = static_cast<int>(values.size());
+    RecValue v;
+    v.impl = t.impl_ptr();
+    v.numel = t.numel();
+    values.push_back(std::move(v));
+    ids.emplace(t.impl(), id);
+    return id;
+  }
+
+  int RegisterOut(const Tensor& t, int producer) {
+    ODNET_CHECK(t.defined());
+    ODNET_CHECK(ids.find(t.impl()) == ids.end())
+        << "op output recorded twice";
+    const int id = static_cast<int>(values.size());
+    RecValue v;
+    v.impl = t.impl_ptr();
+    v.producer = producer;
+    v.numel = t.numel();
+    values.push_back(std::move(v));
+    ids.emplace(t.impl(), id);
+    return id;
+  }
+};
 
 thread_local Recorder* g_recorder = nullptr;
 
@@ -51,14 +104,13 @@ namespace capture {
 bool Active() { return g_recorder != nullptr; }
 
 void RecordOp(const Tensor& out, const std::vector<Tensor>& ins,
-              ReplayKernel kernel, bool zero_init_output, OpDesc desc) {
+              ReplayKernel kernel, bool zero_init_output) {
   Recorder* rec = g_recorder;
   if (rec == nullptr) return;
   ++rec->ops_recorded;
   RecNode node;
   node.kernel = std::move(kernel);
   node.zero_out = zero_init_output;
-  node.desc = desc;
   node.name = telemetry::CurrentOpName();
   node.ins.reserve(ins.size());
   for (const Tensor& t : ins) node.ins.push_back(rec->IdFor(t));
@@ -235,8 +287,6 @@ class PlanBuilder {
       }
     }
 
-    plan->stats_.num_nodes = static_cast<int64_t>(plan->slot_sizes_.size());
-    plan->stats_.num_nodes = 0;
     for (const GraphPlan::Node& n : plan->nodes_) {
       if (n.kernel) ++plan->stats_.num_nodes;
     }
@@ -275,7 +325,6 @@ std::shared_ptr<GraphPlan> GraphPlan::CaptureInference(
   for (size_t i = 0; i < inputs.size(); ++i) {
     const int id = rec.IdFor(inputs[i]);
     rec.values[static_cast<size_t>(id)].input_index = static_cast<int>(i);
-    rec.input_ids.push_back(id);
   }
   std::vector<Tensor> outs;
   {
@@ -285,25 +334,9 @@ std::shared_ptr<GraphPlan> GraphPlan::CaptureInference(
   }
   CheckCaptureIntegrity(rec);
   ODNET_CHECK(!outs.empty()) << "captured program returned no outputs";
-  // Optimize the IR between capture (integrity already checked) and
-  // lowering. Folded nodes become alias edges; fused chains replace their
-  // last member, so the node list PlanBuilder sees is already final.
-  PlanOptimizeStats ostats;
-  if (PlanFusionEnabled()) ostats = OptimizePlanIr(&rec, outs);
   std::shared_ptr<GraphPlan> plan = PlanBuilder::Build(&rec, outs, inputs);
   plan->capability_ = ActiveCpuCapability();
-  plan->stats_.fused_nodes = ostats.fused_chains;
-  plan->stats_.folded_nodes = ostats.folded_nodes;
-  plan->stats_.elided_values = ostats.elided_values;
-  plan->stats_.elided_bytes = ostats.elided_bytes;
   telemetry::TelemetryRegistry::Get().GetCounter("plan.captures")->Add(1);
-  {
-    telemetry::TelemetryRegistry& reg = telemetry::TelemetryRegistry::Get();
-    reg.GetCounter("plan.fusion.chains")->Add(ostats.fused_chains);
-    reg.GetCounter("plan.fusion.fused_stages")->Add(ostats.fused_stages);
-    reg.GetCounter("plan.fusion.folded")->Add(ostats.folded_nodes);
-    reg.GetCounter("plan.fusion.elided_values")->Add(ostats.elided_values);
-  }
   if (capture_results != nullptr) *capture_results = std::move(outs);
   return plan;
 }
@@ -387,104 +420,6 @@ const std::vector<Tensor>& GraphPlan::Replay(const std::vector<Tensor>& inputs) 
   if (own_buffers_ == nullptr) own_buffers_ = NewBuffers();
   ++replay_count_;
   return ReplayOn(own_buffers_.get(), inputs);
-}
-
-// ---------------------------------------------------------------------------
-// TrainStepPlan
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<TrainStepPlan> TrainStepPlan::Capture(
-    const std::function<Tensor()>& program) {
-  ODNET_CHECK(GradModeEnabled())
-      << "TrainStepPlan::Capture requires grad mode";
-  Recorder rec;
-  Tensor loss;
-  {
-    ScopedRecorder guard(&rec);
-    loss = program();
-  }
-  CheckCaptureIntegrity(rec);
-  ODNET_CHECK(loss.defined());
-  ODNET_CHECK_EQ(loss.numel(), 1) << "train-step program must return a scalar";
-  ODNET_CHECK(loss.requires_grad())
-      << "train-step loss does not require grad";
-
-  std::unique_ptr<TrainStepPlan> plan(new TrainStepPlan());
-  plan->loss_ = loss;
-  plan->capability_ = ActiveCpuCapability();
-  plan->retained_.reserve(rec.values.size());
-  for (const RecValue& v : rec.values) plan->retained_.push_back(v.impl);
-
-  for (const RecNode& rnode : rec.nodes) {
-    if (rnode.host) {
-      Node node;
-      node.host = rnode.host;
-      plan->nodes_.push_back(std::move(node));
-      continue;
-    }
-    internal::TensorImpl* out_impl =
-        rec.values[static_cast<size_t>(rnode.out)].impl.get();
-    if (out_impl->requires_grad) plan->grad_nodes_.push_back(out_impl);
-    if (rnode.alias_of >= 0) continue;  // view: parent's kernel fills it
-    Node node;
-    node.kernel = rnode.kernel;
-    node.name = rnode.name;
-    node.in_ptrs.reserve(rnode.ins.size());
-    for (int in : rnode.ins) {
-      node.in_ptrs.push_back(
-          rec.values[static_cast<size_t>(in)].impl->storage->data());
-    }
-    node.out_ptr = out_impl->storage->data();
-    node.out_numel = static_cast<int64_t>(out_impl->storage->size());
-    node.zero_out = rnode.zero_out;
-    plan->nodes_.push_back(std::move(node));
-  }
-  plan->topo_ = internal::BuildBackwardTopo(loss.impl());
-  telemetry::TelemetryRegistry::Get().GetCounter("plan.train_captures")
-      ->Add(1);
-  return plan;
-}
-
-namespace {
-void CheckTrainPlanCapability(CpuCapability captured, const char* where) {
-  ODNET_CHECK(ActiveCpuCapability() == captured)
-      << "TrainStepPlan captured under CPU capability '"
-      << CpuCapabilityName(captured) << "' but " << where
-      << " runs under '" << CpuCapabilityName(ActiveCpuCapability())
-      << "': switching the SIMD tier mid-run would change the numerics of a "
-         "captured program; re-capture the plan under the new tier";
-}
-}  // namespace
-
-void TrainStepPlan::ReplayForward() {
-  CheckTrainPlanCapability(capability_, "ReplayForward");
-  telemetry::SpanScope replay_span("TrainStepPlan.ReplayForward", "plan");
-  for (const Node& node : nodes_) {
-    telemetry::SpanScope node_span(node.name != nullptr ? node.name : "Node",
-                                   "plan.node");
-    if (node.host) {
-      node.host();
-      continue;
-    }
-    if (node.zero_out) {
-      std::fill(node.out_ptr, node.out_ptr + node.out_numel, 0.0f);
-    }
-    ReplayPtrs ptrs{node.in_ptrs.data(), node.out_ptr};
-    node.kernel(ptrs);
-  }
-}
-
-void TrainStepPlan::ReplayBackward() {
-  CheckTrainPlanCapability(capability_, "ReplayBackward");
-  telemetry::SpanScope replay_span("TrainStepPlan.ReplayBackward", "plan");
-  // Reset intermediate grads to the state a fresh eager tape would have:
-  // EnsureGrad()'s all-zero buffer with reset row metadata. Leaf parameters
-  // are the optimizer's job (ZeroGrad before this call, as in eager).
-  for (internal::TensorImpl* impl : grad_nodes_) {
-    impl->grad.assign(impl->storage->size(), 0.0f);
-    impl->ResetGradRows();
-  }
-  internal::SeedAndRunBackward(loss_.impl(), topo_);
 }
 
 }  // namespace tensor

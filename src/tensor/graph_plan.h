@@ -51,52 +51,15 @@ using ReplayKernel = std::function<void(const ReplayPtrs&)>;
 
 namespace capture {
 
-/// What a recorded kernel computes, as far as the plan optimizer is
-/// concerned. Ops that annotate their RecordOp call with a non-opaque kind
-/// become visible to no-op folding and elementwise-chain fusion
-/// (plan_optimizer.cc); everything else stays an opaque closure that the
-/// optimizer must not touch. kMatMul/kSoftmax are never fused themselves but
-/// mark producers whose outputs are provably free of -0.0f (folding legality)
-/// and whose elementwise epilogues are worth chasing.
-enum class OpKind : int {
-  kOpaque = 0,
-  // Binary elementwise (reference_backend.h BinaryKind order).
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  // Scalar-parameterized elementwise (param holds the scalar).
-  kAddScalar,
-  kMulScalar,
-  // Activations (param holds the LeakyRelu slope).
-  kRelu,
-  kLeakyRelu,
-  kSigmoid,
-  kTanh,
-  kExp,
-  // Non-fusable producers the optimizer reasons about.
-  kMatMul,
-  kSoftmax,
-  // Bitwise copy of the input (reference-mode Reshape / inference Dropout).
-  kIdentityCopy,
-};
-
-struct OpDesc {
-  OpKind kind = OpKind::kOpaque;
-  float param = 0.0f;
-};
-
 /// True when the calling thread is recording into a plan. Ops use this to
 /// skip the (allocating) RecordOp call on the hot eager path.
 bool Active();
 
 /// Records one op node: `out` was produced from `ins` by `kernel`.
 /// `zero_init_output` marks kernels that accumulate into their output
-/// (MatMul, SumAxis) so replay pre-zeros the buffer. `desc` describes the
-/// computation for the plan optimizer (defaults to opaque: never optimized).
+/// (MatMul, SumAxis) so replay pre-zeros the buffer.
 void RecordOp(const Tensor& out, const std::vector<Tensor>& ins,
-              ReplayKernel kernel, bool zero_init_output = false,
-              OpDesc desc = OpDesc());
+              ReplayKernel kernel, bool zero_init_output = false);
 
 /// Records a zero-copy aliasing node: `out` shares `src`'s storage
 /// (Reshape views). Replay does no work; consumers of `out` resolve to
@@ -130,11 +93,6 @@ struct MemoryPlanStats {
   int64_t requested_bytes = 0;  // sum of all intermediate value sizes
   int64_t peak_bytes = 0;       // sum of physical buffer sizes
   double reuse_ratio = 0.0;     // 1 - peak/requested (0 when no reuse)
-  // Optimizer results (all zero when ODNET_PLAN_FUSION=0 / FusionScope off).
-  int64_t fused_nodes = 0;      // FusedNode loop nests in the final plan
-  int64_t folded_nodes = 0;     // no-op nodes folded into alias edges
-  int64_t elided_values = 0;    // intermediates no longer materialized
-  int64_t elided_bytes = 0;     // their aggregate buffer demand
 };
 
 /// \brief A captured inference program: topo-ordered nodes with static
@@ -239,9 +197,6 @@ class GraphPlan {
 
   std::vector<Node> nodes_;
   std::vector<std::shared_ptr<std::vector<float>>> constants_;
-  // Node::name points at string literals, or — for optimizer-synthesized
-  // fused nodes — at process-lifetime interned strings (plan_optimizer.cc):
-  // trace events keep bare name pointers past any plan's lifetime.
   std::vector<int64_t> slot_sizes_;
   std::vector<Shape> input_shapes_;
   std::vector<OutputRef> outputs_;
@@ -251,65 +206,6 @@ class GraphPlan {
   bool has_host_stages_ = false;
   int64_t replay_count_ = 0;
   std::unique_ptr<Buffers> own_buffers_;
-};
-
-/// \brief A captured training step: the retained autograd tape of one
-/// eager forward plus the replayable kernel list that recomputes it.
-///
-/// Capture runs `program` once eagerly in grad mode and keeps the returned
-/// loss tensor — and with it the whole tape. Per-batch replay then:
-///  - ReplayForward(): re-runs host stages and forward kernels writing into
-///    the *retained* op storages (pointers are stable, so the cached tape's
-///    backward closures see the fresh values);
-///  - ReplayBackward(): zeroes the intermediate grads (bitwise-equivalent
-///    to the fresh EnsureGrad of an eager Backward), seeds the root, and
-///    runs the cached reverse-topological closure list — exactly
-///    Tensor::Backward() minus the per-step topo sort.
-/// The consumer refreshes the bound host inputs (batch copy) before
-/// ReplayForward, and runs optimizer ZeroGrad/Clip/Step around
-/// ReplayBackward exactly as in the eager step.
-class TrainStepPlan {
- public:
-  /// Captures one eager grad-mode run of `program` (which must return a
-  /// scalar loss requiring grad). The capture itself computed a valid
-  /// forward+tape, so the caller proceeds straight to ReplayBackward() for
-  /// the capture step.
-  static std::unique_ptr<TrainStepPlan> Capture(
-      const std::function<Tensor()>& program);
-
-  /// The retained loss tensor; its value is refreshed by ReplayForward().
-  const Tensor& loss() const { return loss_; }
-
-  void ReplayForward();
-  void ReplayBackward();
-
-  int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
-
-  /// SIMD tier stamped at capture; both replay directions CHECK against it
-  /// (same contract as GraphPlan::capability()).
-  CpuCapability capability() const { return capability_; }
-
- private:
-  TrainStepPlan() = default;
-
-  struct Node {
-    ReplayKernel kernel;
-    std::function<void()> host;
-    std::vector<const float*> in_ptrs;
-    float* out_ptr = nullptr;
-    int64_t out_numel = 0;
-    bool zero_out = false;
-    const char* name = nullptr;  // as GraphPlan::Node::name
-  };
-
-  std::vector<Node> nodes_;
-  Tensor loss_;
-  CpuCapability capability_ = CpuCapability::kScalar;
-  // Keeps every recorded value's impl alive so the raw pointers above and
-  // the cached topo stay valid.
-  std::vector<std::shared_ptr<internal::TensorImpl>> retained_;
-  std::vector<internal::TensorImpl*> grad_nodes_;  // tape outs needing grad
-  std::vector<internal::TensorImpl*> topo_;        // cached backward order
 };
 
 }  // namespace tensor

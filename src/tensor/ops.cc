@@ -304,43 +304,6 @@ void BinaryBackward(BinaryKind kind, const Shape& out_shape,
   if (need_b) ReduceGradToShape(gb, out_shape, b_shape, 1.0f, &ib->grad);
 }
 
-// Capture-IR descriptors for the plan optimizer (plan_optimizer.cc): which
-// elementwise function a recorded node computes, so no-op folding and chain
-// fusion can reason about it. Ops without a mapping record kOpaque.
-capture::OpKind BinaryOpKind(BinaryKind kind) {
-  switch (kind) {
-    case BinaryKind::kAdd:
-      return capture::OpKind::kAdd;
-    case BinaryKind::kSub:
-      return capture::OpKind::kSub;
-    case BinaryKind::kMul:
-      return capture::OpKind::kMul;
-    case BinaryKind::kDiv:
-      return capture::OpKind::kDiv;
-  }
-  return capture::OpKind::kOpaque;
-}
-
-capture::OpKind UnaryOpKind(simd::UnaryEw kind) {
-  switch (kind) {
-    case simd::UnaryEw::kRelu:
-      return capture::OpKind::kRelu;
-    case simd::UnaryEw::kLeakyRelu:
-      return capture::OpKind::kLeakyRelu;
-    case simd::UnaryEw::kSigmoid:
-      return capture::OpKind::kSigmoid;
-    case simd::UnaryEw::kTanh:
-      return capture::OpKind::kTanh;
-    case simd::UnaryEw::kExp:
-      return capture::OpKind::kExp;
-    case simd::UnaryEw::kAddScalar:
-      return capture::OpKind::kAddScalar;
-    case simd::UnaryEw::kMulScalar:
-      return capture::OpKind::kMulScalar;
-  }
-  return capture::OpKind::kOpaque;
-}
-
 Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind,
                 const char* op_name) {
   ODNET_OP_SCOPE(op_name);
@@ -381,10 +344,9 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind,
         BinaryBackward(kind, out_shape, a_shape, b_shape, self);
       });
   if (capture::Active()) {
-    capture::RecordOp(
-        result, {a, b},
-        [run](const ReplayPtrs& p) { run(p.in[0], p.in[1], p.out); },
-        /*zero_init_output=*/false, capture::OpDesc{BinaryOpKind(kind), 0.0f});
+    capture::RecordOp(result, {a, b}, [run](const ReplayPtrs& p) {
+      run(p.in[0], p.in[1], p.out);
+    });
   }
   return result;
 }
@@ -471,10 +433,8 @@ Tensor DispatchedUnaryOp(const Tensor& a, const char* op_name,
         });
       });
   if (capture::Active()) {
-    capture::RecordOp(
-        result, {a}, [run](const ReplayPtrs& p) { run(p.in[0], p.out); },
-        /*zero_init_output=*/false,
-        capture::OpDesc{UnaryOpKind(kind), param});
+    capture::RecordOp(result, {a},
+                      [run](const ReplayPtrs& p) { run(p.in[0], p.out); });
   }
   return result;
 }
@@ -684,8 +644,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     capture::RecordOp(
         result, {a, b},
         [run](const ReplayPtrs& p) { run(p.in[0], p.in[1], p.out); },
-        /*zero_init_output=*/true,
-        capture::OpDesc{capture::OpKind::kMatMul, 0.0f});
+        /*zero_init_output=*/true);
   }
   return result;
 }
@@ -770,10 +729,8 @@ Tensor Reshape(const Tensor& a, const Shape& new_shape) {
           for (int64_t i = 0; i < gn; ++i) pg[i] += g[i];
         });
     if (capture::Active()) {
-      capture::RecordOp(
-          result, {a}, [run](const ReplayPtrs& p) { run(p.in[0], p.out); },
-          /*zero_init_output=*/false,
-          capture::OpDesc{capture::OpKind::kIdentityCopy, 0.0f});
+      capture::RecordOp(result, {a},
+                        [run](const ReplayPtrs& p) { run(p.in[0], p.out); });
     }
     return result;
   }
@@ -1270,10 +1227,8 @@ Tensor Softmax(const Tensor& a) {
         });
       });
   if (capture::Active()) {
-    capture::RecordOp(
-        result, {a}, [run](const ReplayPtrs& p) { run(p.in[0], p.out); },
-        /*zero_init_output=*/false,
-        capture::OpDesc{capture::OpKind::kSoftmax, 0.0f});
+    capture::RecordOp(result, {a},
+                      [run](const ReplayPtrs& p) { run(p.in[0], p.out); });
   }
   return result;
 }
@@ -1306,10 +1261,8 @@ Tensor Dropout(const Tensor& a, float p, util::Rng* rng, bool training) {
           for (int64_t i = 0; i < gn; ++i) pg[i] += g[i];
         });
     if (capture::Active()) {
-      capture::RecordOp(
-          result, {a}, [run](const ReplayPtrs& p) { run(p.in[0], p.out); },
-          /*zero_init_output=*/false,
-          capture::OpDesc{capture::OpKind::kIdentityCopy, 0.0f});
+      capture::RecordOp(result, {a},
+                        [run](const ReplayPtrs& p) { run(p.in[0], p.out); });
     }
     return result;
   }

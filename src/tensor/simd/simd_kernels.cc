@@ -203,57 +203,6 @@ void AdaGradRow(float* w, float* acc, const float* g, float lr, float eps,
   }
 }
 
-namespace {
-
-// One fused-chain stage on a scalar running value: exactly the standalone
-// scalar kernel's per-element expression for that op.
-inline float FusedApply(float v, const FusedStageArgs& s, int64_t c) {
-  switch (s.op) {
-    case FusedOp::kAdd: {
-      const float o = s.operand[s.col_stride * c];
-      return s.spine_on_left ? v + o : o + v;
-    }
-    case FusedOp::kSub: {
-      const float o = s.operand[s.col_stride * c];
-      return s.spine_on_left ? v - o : o - v;
-    }
-    case FusedOp::kMul: {
-      const float o = s.operand[s.col_stride * c];
-      return s.spine_on_left ? v * o : o * v;
-    }
-    case FusedOp::kDiv: {
-      const float o = s.operand[s.col_stride * c];
-      return s.spine_on_left ? v / o : o / v;
-    }
-    case FusedOp::kAddScalar:
-      return v + s.param;
-    case FusedOp::kMulScalar:
-      return v * s.param;
-    case FusedOp::kRelu:
-      return v > 0.0f ? v : 0.0f;
-    case FusedOp::kLeakyRelu:
-      return v > 0.0f ? v : s.param * v;
-    case FusedOp::kSigmoid:
-      return ScalarSigmoid(v);
-    case FusedOp::kTanh:
-      return std::tanh(v);
-    case FusedOp::kExp:
-      return std::exp(v);
-  }
-  return v;
-}
-
-}  // namespace
-
-void FusedChain(const float* x, float* y, const FusedStageArgs* stages,
-                int n_stages, int64_t n) {
-  for (int64_t c = 0; c < n; ++c) {
-    float v = x[c];
-    for (int s = 0; s < n_stages; ++s) v = FusedApply(v, stages[s], c);
-    y[c] = v;
-  }
-}
-
 }  // namespace scalar
 
 namespace {
@@ -268,7 +217,7 @@ namespace {
         ns::MulAccum, ns::DivBwdA, ns::DivBwdB, ns::MatMulRow,          \
         ns::MatMulDbRow, ns::AddInto, ns::Scale, ns::SoftmaxRow,        \
         ns::SoftmaxBwdRow, ns::SgdRow, ns::SgdMomentumRow, ns::AdamRow, \
-        ns::AdaGradRow, ns::FusedChain                                  \
+        ns::AdaGradRow                                                  \
   }
 
 const KernelTable kScalarTable = ODNET_SIMD_TIER_TABLE(scalar);

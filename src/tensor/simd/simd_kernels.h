@@ -99,44 +99,6 @@ using AdamRowFn = void (*)(float* w, float* m, float* v, const float* g,
 using AdaGradRowFn = void (*)(float* w, float* acc, const float* g, float lr,
                               float eps, int64_t n);
 
-/// One stage of a fused elementwise chain (plan_optimizer.cc). Binary stages
-/// carry a second operand stream; scalar/activation stages carry only
-/// `param`. The numerics of every stage are exactly the standalone kernel's:
-/// the fused loop evaluates the same per-lane expressions, merely keeping the
-/// running value in registers instead of storing each intermediate.
-enum class FusedOp : int {
-  kAdd = 0,
-  kSub,
-  kMul,
-  kDiv,
-  kAddScalar,
-  kMulScalar,
-  kRelu,
-  kLeakyRelu,
-  kSigmoid,
-  kTanh,
-  kExp,
-};
-
-struct FusedStageArgs {
-  FusedOp op = FusedOp::kAdd;
-  float param = 0.0f;              // AddScalar/MulScalar value, LeakyRelu slope
-  const float* operand = nullptr;  // binary stages: operand row base
-  int64_t col_stride = 0;          // 0: broadcast operand[0]; 1: operand[c]
-  bool spine_on_left = true;       // binary: v op o (true) vs o op v (false)
-};
-
-/// Longest chain one FusedChain call evaluates; longer chains are split by
-/// the optimizer. Bounds the per-call stage array on the stack.
-inline constexpr int kMaxFusedStages = 16;
-
-// y[c] = stage_{k-1}(... stage_0(x[c]) ...) for c in [0, n), where each
-// binary stage reads stages[s].operand[col_stride * c]. No intermediate is
-// written to memory.
-using FusedChainFn = void (*)(const float* x, float* y,
-                              const FusedStageArgs* stages, int n_stages,
-                              int64_t n);
-
 struct KernelTable {
   BinaryEwFn binary[kNumBinaryEw];
   UnaryFwdFn unary_fwd[kNumUnaryEw];
@@ -154,7 +116,6 @@ struct KernelTable {
   SgdMomentumRowFn sgd_momentum_row;
   AdamRowFn adam_row;
   AdaGradRowFn adagrad_row;
-  FusedChainFn fused_chain;
 };
 
 /// Table for an explicit tier; CHECK-fails if that tier is not compiled in.
@@ -218,8 +179,6 @@ CpuCapability MaxCompiledCpuCapability();
                float b1, float b2, float eps, int64_t n);                     \
   void AdaGradRow(float* w, float* acc, const float* g, float lr, float eps,  \
                   int64_t n);                                                 \
-  void FusedChain(const float* x, float* y, const FusedStageArgs* stages,     \
-                  int n_stages, int64_t n);                                   \
   }  // namespace ns
 
 #if defined(ODNET_HAVE_AVX2_KERNELS)

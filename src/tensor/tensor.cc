@@ -303,19 +303,20 @@ Tensor Tensor::MakeViewForOp(
   return out;
 }
 
-namespace internal {
-
-std::vector<TensorImpl*> BuildBackwardTopo(TensorImpl* root) {
+void Tensor::Backward() {
+  ODNET_CHECK(defined());
+  ODNET_CHECK(impl_->requires_grad)
+      << "Backward() on a tensor that does not require grad";
   // Deterministic reverse topological order via iterative DFS.
-  std::vector<TensorImpl*> topo;
-  std::unordered_set<TensorImpl*> visited;
-  std::vector<std::pair<TensorImpl*, size_t>> stack;
-  stack.emplace_back(root, 0);
-  visited.insert(root);
+  std::vector<internal::TensorImpl*> topo;
+  std::unordered_set<internal::TensorImpl*> visited;
+  std::vector<std::pair<internal::TensorImpl*, size_t>> stack;
+  stack.emplace_back(impl_.get(), 0);
+  visited.insert(impl_.get());
   while (!stack.empty()) {
     auto& [node, child_idx] = stack.back();
     if (child_idx < node->parents.size()) {
-      TensorImpl* parent = node->parents[child_idx].get();
+      internal::TensorImpl* parent = node->parents[child_idx].get();
       ++child_idx;
       if (parent->requires_grad && !visited.count(parent)) {
         visited.insert(parent);
@@ -326,18 +327,14 @@ std::vector<TensorImpl*> BuildBackwardTopo(TensorImpl* root) {
       stack.pop_back();
     }
   }
-  return topo;
-}
 
-void SeedAndRunBackward(TensorImpl* root,
-                        const std::vector<TensorImpl*>& topo) {
   // Seed: d(out)/d(out) = 1.
-  root->EnsureGrad();
-  root->MarkGradDense();
-  for (float& g : root->grad) g += 1.0f;
+  impl_->EnsureGrad();
+  impl_->MarkGradDense();
+  for (float& g : impl_->grad) g += 1.0f;
 
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    TensorImpl* node = *it;
+    internal::TensorImpl* node = *it;
     if (node->backward_fn) {
       for (auto& parent : node->parents) {
         parent->EnsureGrad();
@@ -351,17 +348,6 @@ void SeedAndRunBackward(TensorImpl* root,
       node->backward_fn(node);
     }
   }
-}
-
-}  // namespace internal
-
-void Tensor::Backward() {
-  ODNET_CHECK(defined());
-  ODNET_CHECK(impl_->requires_grad)
-      << "Backward() on a tensor that does not require grad";
-  std::vector<internal::TensorImpl*> topo =
-      internal::BuildBackwardTopo(impl_.get());
-  internal::SeedAndRunBackward(impl_.get(), topo);
 }
 
 }  // namespace tensor

@@ -113,18 +113,6 @@ struct TensorImpl {
   }
 };
 
-/// Deterministic reverse-topological order of the tape reachable from
-/// `root` through requires_grad parents (same order Tensor::Backward uses).
-/// A captured TrainStepPlan caches this list so replayed backward passes
-/// skip the per-step DFS.
-std::vector<TensorImpl*> BuildBackwardTopo(TensorImpl* root);
-
-/// Seeds d(root)/d(root) = 1 and runs the backward closures over `topo`
-/// (as built by BuildBackwardTopo) — the execution half of
-/// Tensor::Backward(), shared with TrainStepPlan::ReplayBackward so replay
-/// is bitwise identical to eager.
-void SeedAndRunBackward(TensorImpl* root, const std::vector<TensorImpl*>& topo);
-
 }  // namespace internal
 
 /// \brief Scoped guard disabling tape construction (inference mode).

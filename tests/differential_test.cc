@@ -1035,27 +1035,6 @@ TEST(DifferentialPlanDeathTest, ReplayRejectsCapabilitySwitch) {
         plan->Replay();
       },
       "captured under CPU capability");
-
-  // Train-step plan: both replay directions must reject the switch.
-  Tensor w = testing::RandomTensor({4, 1}, &rng, /*requires_grad=*/true);
-  std::unique_ptr<tensor::TrainStepPlan> train_plan =
-      tensor::TrainStepPlan::Capture([&a, &w]() {
-        Tensor h = tensor::MatMul(a, w);
-        return tensor::Sum(tensor::Mul(h, h));
-      });
-  train_plan->ReplayForward();  // same tier: fine
-  EXPECT_DEATH(
-      {
-        CpuCapabilityScope scope(CpuCapability::kScalar);
-        train_plan->ReplayForward();
-      },
-      "captured under CPU capability");
-  EXPECT_DEATH(
-      {
-        CpuCapabilityScope scope(CpuCapability::kScalar);
-        train_plan->ReplayBackward();
-      },
-      "captured under CPU capability");
 }
 
 // ------------------------------------------------------ finite differences --

@@ -185,5 +185,45 @@ TEST(SerializationTest, RejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
+// A corrupt dimension must come back as a Status before anything is
+// allocated: 2^40 floats is far more than the file holds, and 2^63 does not
+// fit in a signed dimension at all.
+TEST(SerializationTest, RejectsImplausibleDimension) {
+  util::Rng rng(10);
+  nn::Mlp mlp({2, 1}, &rng);
+  std::vector<std::vector<float>> before;
+  for (const auto& [name, param] : mlp.NamedParameters()) {
+    before.push_back(param.vec());
+  }
+  const std::string path = ::testing::TempDir() + "/bigdim.ckpt";
+  for (uint64_t dim : {uint64_t{1} << 40, uint64_t{1} << 63}) {
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const uint32_t version = 1;
+    const std::string name = "w";
+    const uint64_t header[] = {1, name.size()};
+    const uint64_t rank = 1;
+    const float payload[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+    std::fwrite("ODNT", 1, 4, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(header, sizeof(header), 1, f);
+    std::fwrite(name.data(), 1, name.size(), f);
+    std::fwrite(&rank, sizeof(rank), 1, f);
+    std::fwrite(&dim, sizeof(dim), 1, f);
+    std::fwrite(payload, sizeof(payload), 1, f);
+    std::fclose(f);
+
+    util::Status status = nn::LoadParameters(&mlp, path);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << "dim " << dim << ": " << status.ToString();
+    auto after = mlp.NamedParameters();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].second.vec(), before[i]) << after[i].first;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace odnet

@@ -5,13 +5,11 @@
 //  - GraphPlan: capture-once/replay-many inference with a liveness-planned
 //    buffer assignment, bitwise identical to eager under every backend and
 //    thread count, concurrent replay over per-executor buffer sets;
-//  - TrainStepPlan: the retained-tape training step, bitwise identical to
-//    the eager loop it replaces;
-//  - the model/trainer consumers: PredictPlanned's per-shape plan cache
-//    (capture on shape change, replay on hit, invalidation) and the
-//    capture_train_plan trainer path.
+//  - the model consumer: PredictPlanned's per-shape plan cache (capture on
+//    shape change, replay on hit, invalidation).
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,16 +20,13 @@
 #include "gtest/gtest.h"
 #include "src/core/hsg_builder.h"
 #include "src/core/odnet_model.h"
-#include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
-#include "src/optim/optimizer.h"
 #include "src/tensor/buffer_arena.h"
 #include "src/tensor/compute_context.h"
 #include "src/tensor/graph_plan.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/plan_optimizer.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -47,7 +42,6 @@ using tensor::ComputeContext;
 using tensor::GraphPlan;
 using tensor::Shape;
 using tensor::Tensor;
-using tensor::TrainStepPlan;
 
 class ComputeConfigGuard {
  public:
@@ -240,12 +234,9 @@ TEST(GraphPlanTest, ReplayIsBitwiseIdenticalToEagerAcrossBackendsAndThreads) {
 TEST(GraphPlanTest, MemoryPlanReusesRetiredBuffers) {
   // A deep elementwise chain: intermediates retire immediately, so the
   // liveness plan must ping-pong a couple of physical buffers instead of
-  // keeping one per value. Captured unfused — this test pins the raw
-  // liveness geometry; the optimizer's view of the same chain is covered by
-  // the fusion tests.
+  // keeping one per value.
   util::Rng rng(17);
   Tensor x = testing::RandomTensor({32, 32}, &rng);
-  tensor::FusionScope no_fusion(false);
   std::shared_ptr<GraphPlan> plan = GraphPlan::CaptureInference(
       [&x]() {
         Tensor h = x;
@@ -314,19 +305,16 @@ TEST(GraphPlanTest, ConcurrentReplayOnSeparateBufferSets) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// ----------------------------------------------------------- PlanOptimizer --
-
-// A serving-shaped program with a long fusable elementwise tail: MatMul
-// feeds a broadcast bias Add, then unary activations and scalar ops chained
-// single-consumer. The optimizer must fuse the tail into few nodes while
-// replay stays bitwise identical to eager.
-struct FusableProgram {
+// A serving-shaped program with a long elementwise tail: MatMul feeds a
+// broadcast bias Add, then unary activations, scalar ops and binaries with
+// the running value on either side.
+struct ElementwiseTailProgram {
   Tensor x;   // rebindable input {6, 16}
   Tensor w;   // {16, 12}
   Tensor bias;  // {12}: broadcast over rows
   Tensor gate;  // {6, 12}: same-shape elementwise operand
 
-  explicit FusableProgram(util::Rng* rng)
+  explicit ElementwiseTailProgram(util::Rng* rng)
       : x(testing::RandomTensor({6, 16}, rng)),
         w(testing::RandomTensor({16, 12}, rng)),
         bias(testing::RandomTensor({12}, rng)),
@@ -336,21 +324,21 @@ struct FusableProgram {
     Tensor h = tensor::MatMul(x, w);
     h = tensor::Add(h, bias);          // broadcast bias epilogue
     h = tensor::Tanh(h);
-    h = tensor::Mul(h, gate);          // same-shape binary link
+    h = tensor::Mul(h, gate);          // same-shape binary
     h = tensor::MulScalar(h, 0.5f);
-    h = tensor::Sub(bias, h);          // spine on the right
+    h = tensor::Sub(bias, h);          // running value on the right
     h = tensor::Sigmoid(h);
     return {h};
   }
 
   std::vector<Tensor> RunOn(const Tensor& input) const {
-    FusableProgram copy = *this;
+    ElementwiseTailProgram copy = *this;
     copy.x = input;
     return copy.Run();
   }
 };
 
-TEST(PlanFusionTest, FusedReplayBitwiseMatchesEagerEverywhere) {
+TEST(GraphPlanTest, ElementwiseTailReplayMatchesEagerOnEveryTier) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
   for (tensor::CpuCapability cap : tensor::AvailableCpuCapabilities()) {
@@ -358,15 +346,9 @@ TEST(PlanFusionTest, FusedReplayBitwiseMatchesEagerEverywhere) {
     for (Backend backend : {Backend::kOptimized, Backend::kReference}) {
       BackendGuard bg(backend);
       util::Rng rng(131);
-      FusableProgram prog(&rng);
+      ElementwiseTailProgram prog(&rng);
       std::shared_ptr<GraphPlan> plan = GraphPlan::CaptureInference(
           [&prog]() { return prog.Run(); }, nullptr, {prog.x});
-
-      tensor::MemoryPlanStats stats = plan->memory_stats();
-      EXPECT_GE(stats.fused_nodes, 1);
-      EXPECT_GE(stats.elided_values, 3);
-      EXPECT_GT(stats.elided_bytes, 0);
-
       for (int threads : {1, 2, 8}) {
         ctx.SetNumThreads(threads);
         ctx.SetParallelThreshold(1);
@@ -379,87 +361,47 @@ TEST(PlanFusionTest, FusedReplayBitwiseMatchesEagerEverywhere) {
           const std::vector<Tensor>& replayed = plan->Replay({fresh});
           testing::ExpectUlpClose(replayed[0].vec(), eager[0].vec(),
                                   /*max_ulps=*/0,
-                                  "fused replay threads " +
-                                      std::to_string(threads));
+                                  "replay threads " + std::to_string(threads));
         }
       }
     }
   }
 }
 
-TEST(PlanFusionTest, FusionShrinksNodeAndBufferCountsVsUnfused) {
-  util::Rng rng(137);
-  FusableProgram prog(&rng);
-  std::shared_ptr<GraphPlan> fused;
-  std::shared_ptr<GraphPlan> unfused;
-  {
-    tensor::FusionScope on(true);
-    fused = GraphPlan::CaptureInference([&prog]() { return prog.Run(); },
-                                        nullptr, {prog.x});
-  }
-  {
-    tensor::FusionScope off(false);
-    unfused = GraphPlan::CaptureInference([&prog]() { return prog.Run(); },
-                                          nullptr, {prog.x});
-  }
-  tensor::MemoryPlanStats fs = fused->memory_stats();
-  tensor::MemoryPlanStats us = unfused->memory_stats();
-  EXPECT_EQ(us.fused_nodes, 0);
-  EXPECT_EQ(us.elided_values, 0);
-  EXPECT_LT(fs.num_nodes, us.num_nodes);
-  EXPECT_LT(fs.num_values, us.num_values);
-  EXPECT_LE(fs.peak_bytes, us.peak_bytes);
-  // Both replay to identical bits.
-  Tensor fresh = testing::RandomTensor({6, 16}, &rng);
-  testing::ExpectUlpClose(fused->Replay({fresh})[0].vec(),
-                          unfused->Replay({fresh})[0].vec(),
-                          /*max_ulps=*/0, "fused vs unfused replay");
-}
-
-TEST(PlanFusionTest, FoldsIdentityAndScaleByOneNoOps) {
+TEST(GraphPlanTest, IdentityCopiesAndNoOpScalarsReplayMatchEager) {
   // Reference-mode Reshape and inference Dropout record identity copies;
-  // MulScalar by exactly 1.0 and add-0 on a sign-safe producer fold too.
-  // The reference backend materializes all of them, so capture there.
+  // chained Reshapes, scale-by-1 and add-0 ride along. The reference
+  // backend materializes all of them, so capture there.
   BackendGuard bg(Backend::kReference);
   util::Rng rng(139);
   Tensor x = testing::RandomTensor({4, 6}, &rng);
+  auto program = [](const Tensor& in, util::Rng* dropout_rng) {
+    Tensor h = tensor::Relu(in);
+    h = tensor::AddScalar(h, 0.0f);
+    h = tensor::Dropout(h, 0.0f, dropout_rng, /*training=*/true);
+    h = tensor::Dropout(h, 0.3f, dropout_rng, /*training=*/false);
+    h = tensor::Reshape(h, {6, 4});
+    h = tensor::Reshape(h, {24});  // chained reshape views
+    h = tensor::MulScalar(h, 1.0f);
+    return std::vector<Tensor>{tensor::Sigmoid(h)};
+  };
   util::Rng dropout_rng(7);
   std::shared_ptr<GraphPlan> plan = GraphPlan::CaptureInference(
-      [&x, &dropout_rng]() {
-        Tensor h = tensor::Relu(x);
-        h = tensor::AddScalar(h, 0.0f);  // foldable: Relu never yields -0
-        h = tensor::Dropout(h, 0.0f, &dropout_rng, /*training=*/true);
-        h = tensor::Dropout(h, 0.3f, &dropout_rng, /*training=*/false);
-        h = tensor::Reshape(h, {6, 4});
-        h = tensor::Reshape(h, {24});   // chained reshape views
-        h = tensor::MulScalar(h, 1.0f);
-        return std::vector<Tensor>{tensor::Sigmoid(h)};
-      },
-      nullptr, {x});
-  tensor::MemoryPlanStats stats = plan->memory_stats();
-  EXPECT_GE(stats.folded_nodes, 5);
-  // Replay matches eager bitwise (same backend, fresh input).
+      [&]() { return program(x, &dropout_rng); }, nullptr, {x});
   Tensor fresh = testing::RandomTensor({4, 6}, &rng);
   std::vector<Tensor> eager;
   {
     tensor::NoGradGuard no_grad;
     util::Rng eager_rng(7);
-    Tensor h = tensor::Relu(fresh);
-    h = tensor::AddScalar(h, 0.0f);
-    h = tensor::Dropout(h, 0.0f, &eager_rng, true);
-    h = tensor::Dropout(h, 0.3f, &eager_rng, false);
-    h = tensor::Reshape(h, {6, 4});
-    h = tensor::Reshape(h, {24});
-    h = tensor::MulScalar(h, 1.0f);
-    eager.push_back(tensor::Sigmoid(h));
+    eager = program(fresh, &eager_rng);
   }
   testing::ExpectUlpClose(plan->Replay({fresh})[0].vec(), eager[0].vec(),
-                          /*max_ulps=*/0, "folded replay");
+                          /*max_ulps=*/0, "identity-copy replay");
 }
 
-TEST(PlanFusionTest, AddZeroAfterTanhIsNotFolded) {
-  // Tanh(-0) == -0, and -0 + 0.0f rounds to +0: folding would change bits.
-  // The optimizer must keep the AddScalar node (it may still fuse it).
+TEST(GraphPlanTest, AddZeroAfterTanhKeepsEagerSignOfZero) {
+  // Tanh(-0) == -0, and -0 + 0.0f rounds to +0: replay must produce the
+  // eager bits, not pass the -0 through.
   BackendGuard bg(Backend::kReference);
   Tensor x = Tensor::FromVector({4}, {0.0f, -0.0f, -1.0f, 2.0f});
   std::shared_ptr<GraphPlan> plan = GraphPlan::CaptureInference(
@@ -468,16 +410,16 @@ TEST(PlanFusionTest, AddZeroAfterTanhIsNotFolded) {
             tensor::AddScalar(tensor::Tanh(x), 0.0f)};
       },
       nullptr, {x});
-  EXPECT_EQ(plan->memory_stats().folded_nodes, 0);
   tensor::NoGradGuard no_grad;
   std::vector<float> eager = tensor::AddScalar(tensor::Tanh(x), 0.0f).vec();
+  ASSERT_FALSE(std::signbit(eager[1]));
   testing::ExpectUlpClose(plan->Replay({x})[0].vec(), eager,
                           /*max_ulps=*/0, "tanh add-0 replay");
 }
 
-TEST(PlanFusionTest, ValueWithTwoConsumersEndsTheChain) {
-  // h feeds two consumers: it must stay materialized, and neither consumer
-  // may absorb it. Both branches are single nodes, so nothing fuses at all.
+TEST(GraphPlanTest, ValueWithTwoConsumersStaysLiveForBoth) {
+  // h feeds two outputs: the memory plan must keep its buffer until the
+  // second consumer has run.
   util::Rng rng(149);
   Tensor x = testing::RandomTensor({5, 7}, &rng);
   std::shared_ptr<GraphPlan> plan = GraphPlan::CaptureInference(
@@ -487,7 +429,6 @@ TEST(PlanFusionTest, ValueWithTwoConsumersEndsTheChain) {
                                    tensor::MulScalar(h, 2.0f)};
       },
       nullptr, {x});
-  EXPECT_EQ(plan->memory_stats().fused_nodes, 0);
   tensor::NoGradGuard no_grad;
   Tensor h = tensor::Tanh(x);
   std::vector<float> e0 = tensor::AddScalar(h, 1.0f).vec();
@@ -497,18 +438,12 @@ TEST(PlanFusionTest, ValueWithTwoConsumersEndsTheChain) {
   testing::ExpectUlpClose(out[1].vec(), e1, 0, "two-consumer branch 1");
 }
 
-TEST(PlanFusionTest, DropoutRejectsPOne) {
-  util::Rng rng(151);
-  Tensor x = testing::RandomTensor({4}, &rng);
-  EXPECT_DEATH(tensor::Dropout(x, 1.0f, &rng, /*training=*/true), "");
-}
-
-// Seeded differential fuzz: random fusable chains (unary activations,
-// scalar ops, same-shape and broadcast binaries, occasional no-ops),
-// captured fused and unfused, replayed twice (dirty recycled buffers) on
-// fresh inputs — results must match bitwise on every backend, thread count
-// and compiled capability tier.
-TEST(PlanFusionTest, DifferentialFuzzFusedVsUnfusedBitwise) {
+// Seeded differential fuzz: random elementwise chains (unary activations,
+// scalar ops, same-shape and broadcast binaries, scale-by-1 and add-0),
+// captured once and replayed twice (the second on dirty recycled buffers)
+// on fresh inputs — replay must match eager bitwise on every backend,
+// thread count and compiled capability tier.
+TEST(GraphPlanTest, DifferentialFuzzReplayVsEagerBitwise) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
   util::Rng rng(0xF05EDu);
@@ -527,8 +462,8 @@ TEST(PlanFusionTest, DifferentialFuzzFusedVsUnfusedBitwise) {
         for (int i = 0; i < n_ops; ++i) {
           ops.push_back(static_cast<int>(rng.UniformInt(0, 11)));
         }
-        auto program = [&]() {
-          Tensor h = x;
+        auto program = [&](const Tensor& input) {
+          Tensor h = input;
           for (int op : ops) {
             switch (op) {
               case 0: h = tensor::Relu(h); break;
@@ -540,33 +475,28 @@ TEST(PlanFusionTest, DifferentialFuzzFusedVsUnfusedBitwise) {
               case 6: h = tensor::Add(h, row_operand); break;
               case 7: h = tensor::Mul(h, full_operand); break;
               case 8: h = tensor::Sub(row_operand, h); break;
-              case 9: h = tensor::MulScalar(h, 1.0f); break;   // no-op
-              case 10: h = tensor::AddScalar(h, 0.0f); break;  // maybe-fold
+              case 9: h = tensor::MulScalar(h, 1.0f); break;
+              case 10: h = tensor::AddScalar(h, 0.0f); break;
               default: h = tensor::Div(h, tensor::AddScalar(
                                tensor::Mul(h, h), 1.0f)); break;
             }
           }
           return std::vector<Tensor>{h};
         };
-        std::shared_ptr<GraphPlan> fused;
-        std::shared_ptr<GraphPlan> unfused;
-        {
-          tensor::FusionScope on(true);
-          fused = GraphPlan::CaptureInference(program, nullptr, {x});
-        }
-        {
-          tensor::FusionScope off(false);
-          unfused = GraphPlan::CaptureInference(program, nullptr, {x});
-        }
+        std::shared_ptr<GraphPlan> plan = GraphPlan::CaptureInference(
+            [&]() { return program(x); }, nullptr, {x});
         for (int threads : {1, 2, 8}) {
           ctx.SetNumThreads(threads);
           ctx.SetParallelThreshold(1);
           for (int round = 0; round < 2; ++round) {
             Tensor fresh = testing::RandomTensor({rows, cols}, &rng);
-            std::vector<float> f = fused->Replay({fresh})[0].vec();
-            std::vector<float> u = unfused->Replay({fresh})[0].vec();
+            std::vector<float> eager;
+            {
+              tensor::NoGradGuard no_grad;
+              eager = program(fresh)[0].vec();
+            }
             testing::ExpectUlpClose(
-                f, u, /*max_ulps=*/0,
+                plan->Replay({fresh})[0].vec(), eager, /*max_ulps=*/0,
                 "fuzz iter " + std::to_string(iter) + " threads " +
                     std::to_string(threads) + " round " +
                     std::to_string(round));
@@ -577,89 +507,7 @@ TEST(PlanFusionTest, DifferentialFuzzFusedVsUnfusedBitwise) {
   }
 }
 
-// ---------------------------------------------------------- TrainStepPlan --
-
-// Twin training loops over an embedding + projection: the eager tape path
-// vs the captured TrainStepPlan replay. Pure function of its inputs, so the
-// two must agree bit for bit on every loss and on the trained weights.
-std::vector<float> RunTrainLoop(bool use_plan) {
-  util::Rng rng(6402);
-  Tensor table = testing::RandomTensor({10, 4}, &rng, true);
-  Tensor w = testing::RandomTensor({4, 1}, &rng, true);
-  optim::Adam opt({table, w}, 0.05);
-  // Host-side state refreshed per step; the *objects* stay put so the
-  // captured closures keep pointing at live data.
-  std::vector<int64_t> indices(6, 0);
-  auto program = [&table, &w, &indices]() {
-    Tensor emb = tensor::EmbeddingLookup(table, indices, {6});
-    Tensor h = tensor::MatMul(emb, w);
-    return tensor::Sum(tensor::Mul(h, h));
-  };
-  std::unique_ptr<TrainStepPlan> plan;
-  std::vector<float> out;
-  for (int step = 0; step < 6; ++step) {
-    for (int64_t& v : indices) v = rng.UniformInt(0, 9);
-    float loss_value = 0.0f;
-    if (use_plan) {
-      if (plan == nullptr) {
-        plan = TrainStepPlan::Capture(program);  // capture IS the eager run
-      } else {
-        plan->ReplayForward();
-      }
-      opt.ZeroGrad();
-      plan->ReplayBackward();
-      opt.ClipGradNorm(0.5);
-      opt.Step();
-      loss_value = plan->loss().item();
-    } else {
-      Tensor loss = program();
-      opt.ZeroGrad();
-      loss.Backward();
-      opt.ClipGradNorm(0.5);
-      opt.Step();
-      loss_value = loss.item();
-    }
-    out.push_back(loss_value);
-  }
-  out.insert(out.end(), table.vec().begin(), table.vec().end());
-  out.insert(out.end(), w.vec().begin(), w.vec().end());
-  return out;
-}
-
-TEST(TrainStepPlanTest, ReplayMatchesEagerTrainingBitwise) {
-  ComputeConfigGuard guard;
-  ComputeContext& ctx = ComputeContext::Get();
-  ctx.SetNumThreads(1);
-  ctx.SetParallelThreshold(16384);
-  const std::vector<float> oracle = RunTrainLoop(/*use_plan=*/false);
-  for (int threads : {1, 2, 8}) {
-    for (int64_t threshold : {int64_t{1}, int64_t{16384}}) {
-      ctx.SetNumThreads(threads);
-      ctx.SetParallelThreshold(threshold);
-      const std::string tag = " [threads=" + std::to_string(threads) +
-                              " threshold=" + std::to_string(threshold) + "]";
-      testing::ExpectUlpClose(RunTrainLoop(true), oracle, /*max_ulps=*/0,
-                              "TrainStepPlan/plan" + tag);
-      testing::ExpectUlpClose(RunTrainLoop(false), oracle, /*max_ulps=*/0,
-                              "TrainStepPlan/eager" + tag);
-    }
-  }
-  {
-    BackendGuard reference(Backend::kReference);
-    ctx.SetNumThreads(1);
-    ctx.SetParallelThreshold(16384);
-    testing::ExpectUlpClose(RunTrainLoop(true), oracle, /*max_ulps=*/0,
-                            "TrainStepPlan/plan reference backend");
-  }
-}
-
-TEST(TrainStepPlanTest, CaptureRequiresScalarGradLoss) {
-  Tensor a = Tensor::Full({3}, 1.0f, /*requires_grad=*/true);
-  EXPECT_DEATH(TrainStepPlan::Capture([&a]() { return tensor::Neg(a); }),
-               "scalar");
-}
-
-// ------------------------------------------------------ model and trainer --
+// ------------------------------------------------------------------ model --
 
 struct Fixture {
   Fixture() : simulator(MakeConfig()), dataset(simulator.Generate()) {
@@ -856,59 +704,6 @@ TEST(PredictPlannedTest, HsgcTwinModelsAgreeBitwise) {
   }
   EXPECT_EQ(planned_model.serving_plan_stats().captures, 1);
   EXPECT_EQ(planned_model.serving_plan_stats().replays, 2);
-}
-
-// Trains twin models (identical seed, identical batches) with the captured
-// train-step plan on vs off and compares the full trained parameter state
-// bitwise. Covers the ragged tail batch (second shape signature) and both
-// sparse-update modes (the mode is part of the plan signature).
-void ExpectPlannedTrainingMatchesEager(const std::string& sparse_mode,
-                                       bool use_hsgc) {
-  Fixture& f = SharedFixture();
-  core::OdnetConfig config = SmallModelConfig();
-  config.use_hsgc = use_hsgc;
-  config.sparse_embedding_updates = sparse_mode;
-  const graph::HeterogeneousSpatialGraph* hsg =
-      use_hsgc ? f.hsg.get() : nullptr;
-
-  config.capture_train_plan = false;
-  core::OdnetModel eager_model(hsg, f.dataset.num_users, f.dataset.num_cities,
-                               config);
-  core::OdnetTrainer eager_trainer(&eager_model, &f.dataset, f.temporal.get());
-  core::TrainStats eager_stats = eager_trainer.Train();
-
-  config.capture_train_plan = true;
-  core::OdnetModel plan_model(hsg, f.dataset.num_users, f.dataset.num_cities,
-                              config);
-  core::OdnetTrainer plan_trainer(&plan_model, &f.dataset, f.temporal.get());
-  core::TrainStats plan_stats = plan_trainer.Train();
-
-  EXPECT_EQ(plan_stats.steps, eager_stats.steps);
-  EXPECT_EQ(plan_stats.first_epoch_loss, eager_stats.first_epoch_loss);
-  EXPECT_EQ(plan_stats.final_epoch_loss, eager_stats.final_epoch_loss);
-
-  auto eager_params = eager_model.NamedParameters();
-  auto plan_params = plan_model.NamedParameters();
-  ASSERT_EQ(eager_params.size(), plan_params.size());
-  for (size_t p = 0; p < eager_params.size(); ++p) {
-    EXPECT_EQ(eager_params[p].first, plan_params[p].first);
-    testing::ExpectUlpClose(plan_params[p].second.vec(),
-                            eager_params[p].second.vec(), /*max_ulps=*/0,
-                            "param " + eager_params[p].first + " [" +
-                                sparse_mode + "]");
-  }
-}
-
-TEST(TrainerPlanTest, CapturedStepMatchesEagerDenseEquivalent) {
-  ExpectPlannedTrainingMatchesEager("dense-equivalent", /*use_hsgc=*/false);
-}
-
-TEST(TrainerPlanTest, CapturedStepMatchesEagerLazySparse) {
-  ExpectPlannedTrainingMatchesEager("lazy", /*use_hsgc=*/false);
-}
-
-TEST(TrainerPlanTest, CapturedStepMatchesEagerWithHsgc) {
-  ExpectPlannedTrainingMatchesEager("dense-equivalent", /*use_hsgc=*/true);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //    serial RankingService oracle, across router configurations;
 //  - bounded-queue edge cases: capacity 0/1, deadline firing with a single
 //    queued request, shutdown draining in-flight batches, a request larger
-//    than max-batch;
+//    than max-batch, a scorer that throws;
 //  - TTL feature-cache semantics under a manual clock.
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -416,6 +417,71 @@ TEST(ServingRouterEdgeTest, InvalidRequestsGetTypedErrors) {
       router.RecommendTopK(SharedFixture().dataset.num_users, 5);
   ASSERT_FALSE(bad_user.ok());
   EXPECT_EQ(bad_user.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+/// Pure scorer over a fitted inner method whose first Score call throws,
+/// standing in for a model that fails one batch and then recovers.
+class ThrowOnceScorer : public baselines::OdRecommender {
+ public:
+  explicit ThrowOnceScorer(baselines::OdRecommender* inner) : inner_(inner) {}
+
+  std::string name() const override { return "ThrowOnce"; }
+  util::Status Fit(const data::OdDataset&) override {
+    return util::Status::OK();  // inner is already fitted
+  }
+  bool ThreadSafeScore() const override { return true; }
+  std::vector<baselines::OdScore> Score(
+      const data::OdDataset& dataset,
+      const std::vector<data::Sample>& samples) override {
+    if (calls_.fetch_add(1) == 0) throw std::runtime_error("model fault");
+    return inner_->Score(dataset, samples);
+  }
+
+ private:
+  baselines::OdRecommender* inner_;
+  std::atomic<int> calls_{0};
+};
+
+TEST(ServingRouterEdgeTest, ThrowingScorerFailsItsBatchAndKeepsServing) {
+  ThrowOnceScorer scorer(&FittedMostPop());
+  ServiceUnderTest sut(&scorer);
+  ServiceUnderTest plain(&FittedMostPop());
+  const int64_t rows_a = static_cast<int64_t>(sut.service.RecallFor(3).size());
+  const int64_t rows_b = static_cast<int64_t>(sut.service.RecallFor(4).size());
+  ASSERT_GT(rows_a, 0);
+  ASSERT_GT(rows_b, 0);
+  RouterOptions options;
+  options.num_workers = 1;
+  // A batch closes exactly when requests for users 3 and 4 are both in, so
+  // each pair below always shares one batch; the deadline is a fallback.
+  options.max_batch_rows = rows_a + rows_b;
+  options.batch_deadline_us = 10 * 1000 * 1000;
+  telemetry::TelemetryRegistry& reg = telemetry::TelemetryRegistry::Get();
+  const int64_t failed_before = reg.CounterValue("serving.router.failed");
+  ServingRouter router(&sut.service, options);
+
+  std::future<TopKResult> a = router.SubmitTopK(3, 5);
+  std::future<TopKResult> b = router.SubmitTopK(4, 5);
+  for (std::future<TopKResult>* f : {&a, &b}) {
+    TopKResult result = f->get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInternal)
+        << result.status().ToString();
+  }
+  EXPECT_EQ(reg.CounterValue("serving.router.failed"), failed_before + 2);
+
+  // The worker survived the throw: the same pair is scored and served.
+  std::future<TopKResult> a2 = router.SubmitTopK(3, 5);
+  std::future<TopKResult> b2 = router.SubmitTopK(4, 5);
+  TopKResult ra = a2.get();
+  TopKResult rb = b2.get();
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  ExpectListsIdentical(ra.value(), plain.service.RecommendTopK(3, 5),
+                       "user 3 after the failed batch");
+  ExpectListsIdentical(rb.value(), plain.service.RecommendTopK(4, 5),
+                       "user 4 after the failed batch");
+  EXPECT_EQ(reg.CounterValue("serving.router.failed"), failed_before + 2);
 }
 
 // ---------------------------------------------------------- feature cache --

@@ -42,6 +42,7 @@
 #include "src/serving/ranking_service.h"
 #include "src/serving/recall.h"
 #include "src/serving/serving_router.h"
+#include "src/telemetry/telemetry.h"
 #include "src/util/status.h"
 #include "src/tensor/compute_context.h"
 #include "src/tensor/graph_plan.h"
@@ -382,24 +383,54 @@ class BlockingScorer : public baselines::OdRecommender {
   int entries_ = 0;
 };
 
+/// Throws from every third Score() call (the first included), standing in
+/// for a model that fails some batches while the router keeps serving.
+class FlakyScorer : public baselines::OdRecommender {
+ public:
+  explicit FlakyScorer(baselines::OdRecommender* inner) : inner_(inner) {}
+
+  std::string name() const override { return "Flaky"; }
+  util::Status Fit(const data::OdDataset& dataset) override {
+    return inner_->Fit(dataset);
+  }
+  bool ThreadSafeScore() const override { return true; }
+  std::vector<baselines::OdScore> Score(
+      const data::OdDataset& dataset,
+      const std::vector<data::Sample>& samples) override {
+    if (calls_.fetch_add(1) % 3 == 0) throw std::runtime_error("model fault");
+    return inner_->Score(dataset, samples);
+  }
+
+ private:
+  baselines::OdRecommender* inner_;
+  std::atomic<int64_t> calls_{0};
+};
+
 TEST(ServingRouterStressTest, SubmittersRacingShutdown) {
   RouterStressFixture fixture;
+  FlakyScorer flaky(&fixture.method);
+  serving::RankingService flaky_service(&flaky, &fixture.dataset,
+                                        fixture.recall.get());
   serving::RouterOptions options;
   options.num_workers = 2;
   options.max_batch_rows = 64;
   options.batch_deadline_us = 100;
   options.queue_capacity = 64;
-  serving::ServingRouter router(fixture.service.get(), options);
+  telemetry::TelemetryRegistry& reg = telemetry::TelemetryRegistry::Get();
+  const int64_t failed_before = reg.CounterValue("serving.router.failed");
+  serving::ServingRouter router(&flaky_service, options);
 
   // Four submitter threads race a Shutdown() triggered partway through the
-  // submission stream. Every future must resolve: either a served list or
-  // one of the two typed refusals — never a hang, never a dropped promise.
+  // submission stream, while the model throws on some batches. Every future
+  // must resolve: a served list, one of the two typed refusals, or the
+  // kInternal of a failed batch — never a hang, never a dropped promise.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 40;
   std::atomic<int64_t> submitted{0};
   std::atomic<int64_t> served{0};
   std::atomic<int64_t> shed{0};
   std::atomic<int64_t> refused{0};
+  std::atomic<int64_t> failed{0};
   std::atomic<int64_t> unexpected{0};
   std::thread shutdown_thread([&] {
     while (submitted.load() < kThreads * kPerThread / 2) {
@@ -429,6 +460,8 @@ TEST(ServingRouterStressTest, SubmittersRacingShutdown) {
         } else if (result.status().code() ==
                    util::StatusCode::kFailedPrecondition) {
           refused.fetch_add(1);
+        } else if (result.status().code() == util::StatusCode::kInternal) {
+          failed.fetch_add(1);
         } else {
           unexpected.fetch_add(1);
         }
@@ -438,9 +471,12 @@ TEST(ServingRouterStressTest, SubmittersRacingShutdown) {
   for (std::thread& t : submitters) t.join();
   shutdown_thread.join();
   EXPECT_EQ(unexpected.load(), 0);
-  EXPECT_EQ(served.load() + shed.load() + refused.load(),
+  EXPECT_EQ(served.load() + shed.load() + refused.load() + failed.load(),
             kThreads * kPerThread);
   EXPECT_GT(served.load(), 0);
+  EXPECT_GT(failed.load(), 0) << "the first scored batch always throws";
+  EXPECT_EQ(reg.CounterValue("serving.router.failed"),
+            failed_before + failed.load());
   EXPECT_GT(refused.load(), 0) << "shutdown landed after every submission";
 }
 
@@ -559,7 +595,7 @@ class ShardedCheckpointModule : public nn::Module {
 };
 
 TEST(ShardedStoreStressTest, ShardAppliesRacingCheckpointSnapshot) {
-  // The checkpoint snapshot contract (DESIGN.md §15): SaveParameters with a
+  // The checkpoint snapshot contract (DESIGN.md §14): SaveParameters with a
   // store holds every shard mutex, and appliers mutate rows only under
   // their owning shard's mutex — so concurrent applies and snapshots are
   // race-free and no snapshot can observe a torn row.

@@ -386,6 +386,12 @@ TEST(OpsTest, DropoutZeroesAndScales) {
   EXPECT_LT(zeros, 600);
 }
 
+TEST(OpsTest, DropoutRejectsPOne) {
+  util::Rng rng(151);
+  Tensor a = Tensor::Ones({4});
+  EXPECT_DEATH(Dropout(a, 1.0f, &rng, /*training=*/true), "");
+}
+
 TEST(OpsTest, BceWithLogitsMatchesManual) {
   Tensor x = Tensor::FromVector({2}, {0.0f, 2.0f});
   Tensor t = Tensor::FromVector({2}, {1.0f, 0.0f});

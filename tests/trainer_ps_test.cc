@@ -1,5 +1,5 @@
 // Tests for the sharded-embedding parameter server and the data-parallel
-// trainer (DESIGN.md §15).
+// trainer (DESIGN.md §14).
 //
 // The contract under test, in increasing integration order:
 //   - GradDelta extraction/accumulation partitions a gradient exactly once

@@ -22,11 +22,10 @@ asserts a histogram exists with count > 0; --require-span NAME asserts the
 trace contains a complete span with that exact name (used by CI to prove
 the router's queue-wait lane made it into the timeline); --require-span-
 prefix PREFIX asserts some complete span name starts with PREFIX (used for
-synthesized names with variable suffixes, e.g. the plan optimizer's
-"Fused[Add+Tanh]" loop nests); --require-counter-prefix PREFIX asserts at
-least one counter whose name starts with PREFIX has a positive value (used
-for metric families such as the data-parallel trainer's "trainer.shard."
-counters).
+span families whose exact names vary, e.g. any "ServingRouter." span);
+--require-counter-prefix PREFIX asserts at least one counter whose name
+starts with PREFIX has a positive value (used for metric families such as
+the data-parallel trainer's "trainer.shard." counters).
 
 Usage:
   tools/validate_trace.py trace.json \
