@@ -2,8 +2,8 @@
 //
 // `--plan-sweep` instead runs the capture/replay comparison: steady-state
 // eager vs plan-replay timing for a deep small-op chain and the serving
-// forward (PredictPlanned), at 1 and 8 threads, plus the serving plan's
-// memory-plan statistics, written machine-readably to
+// forward (PredictPlanned), at 1 thread and at the core count, plus the
+// serving plan's memory-plan statistics, written machine-readably to
 // BENCH_plan_replay.json together with the core count and CPU tier.
 // ODNET_BENCH_SMOKE=1 shrinks iteration counts so CI can watch for gross
 // regressions without paying full timing fidelity.
@@ -237,7 +237,7 @@ int RunPlanSweep() {
       "===\n",
       iters, rounds, cores, cpu_tier, smoke ? ", smoke" : "");
   std::vector<PlanRow> rows;
-  for (int threads : {1, 8}) {
+  for (int threads : bench::SweepThreadCounts()) {
     rows.push_back(TimeMicroGraph(threads, warmup, iters * 4, rounds));
     std::printf("finished micro_graph threads=%d\n", threads);
     std::fflush(stdout);

@@ -2,9 +2,12 @@
 //
 // `--kernel-sweep` instead runs the SIMD dispatch comparison: per-kernel
 // forced-scalar vs dispatched-capability timing (GFLOP/s and effective
-// memory bandwidth) at 1 and 8 threads, written machine-readably to
-// BENCH_kernel_simd.json. ODNET_BENCH_SMOKE=1 shrinks iteration counts so
-// CI can watch for gross regressions without paying full timing fidelity.
+// memory bandwidth) at 1 thread and at the core count, written
+// machine-readably to BENCH_kernel_simd.json together with the core count
+// and CPU tier. Besides large square shapes it times the narrow shapes
+// ODNET runs (d = 16, dk = 4, T = 10, neighbour cap 5). ODNET_BENCH_SMOKE=1
+// shrinks iteration counts so CI can watch for gross regressions without
+// paying full timing fidelity.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +17,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -320,6 +324,80 @@ std::vector<KernelWork> BuildKernelWorkloads() {
        },
        1.0 * 512 * 256, (512.0 * 256 + 256) * sizeof(float)});
 
+  // ODNET's own shapes: a PEC head projection (B*T rows of d = 16 onto
+  // dk = 4), the attention scores Q.K^T over T = 10, a -1e9-masked
+  // attention softmax, an HSGC attention broadcast over the neighbour cap
+  // of 5, and a sum of those scores over d.
+  works.push_back(
+      {"matmul_1280x16x4",
+       [] {
+         auto rng = std::make_shared<util::Rng>(20);
+         Tensor a = Tensor::Randn({1280, 16}, rng.get());
+         Tensor b = Tensor::Randn({16, 4}, rng.get());
+         return std::function<void()>([a, b] {
+           tensor::NoGradGuard guard;
+           Tensor c = tensor::MatMul(a, b);
+           benchmark::DoNotOptimize(const_cast<float*>(c.data()));
+         });
+       },
+       2.0 * 1280 * 16 * 4, (1280.0 * 16 + 16 * 4 + 1280 * 4) * sizeof(float)});
+
+  works.push_back(
+      {"bmm_128x10x4x10",
+       [] {
+         auto rng = std::make_shared<util::Rng>(21);
+         Tensor q = Tensor::Randn({128, 10, 4}, rng.get());
+         Tensor kt = Tensor::Randn({128, 4, 10}, rng.get());
+         return std::function<void()>([q, kt] {
+           tensor::NoGradGuard guard;
+           Tensor s = tensor::MatMul(q, kt);
+           benchmark::DoNotOptimize(const_cast<float*>(s.data()));
+         });
+       },
+       2.0 * 128 * 10 * 4 * 10, (2.0 * 128 * 40 + 128 * 100) * sizeof(float)});
+
+  works.push_back(
+      {"softmax_1280x10_masked",
+       [] {
+         auto rng = std::make_shared<util::Rng>(22);
+         Tensor a = Tensor::Randn({1280, 10}, rng.get());
+         float* p = a.mutable_data();
+         for (int64_t i = 1; i < a.numel(); i += 3) p[i] = -1e9f;
+         return std::function<void()>([a] {
+           tensor::NoGradGuard guard;
+           Tensor y = tensor::Softmax(a);
+           benchmark::DoNotOptimize(const_cast<float*>(y.data()));
+         });
+       },
+       5.0 * 1280 * 10, 2.0 * 1280 * 10 * sizeof(float)});
+
+  works.push_back(
+      {"mul_bcast_200x5x16",
+       [] {
+         auto rng = std::make_shared<util::Rng>(23);
+         Tensor nb = Tensor::Randn({200, 5, 16}, rng.get());
+         Tensor self = Tensor::Randn({200, 1, 16}, rng.get());
+         return std::function<void()>([nb, self] {
+           tensor::NoGradGuard guard;
+           Tensor y = tensor::Mul(nb, self);
+           benchmark::DoNotOptimize(const_cast<float*>(y.data()));
+         });
+       },
+       200.0 * 5 * 16, (2.0 * 200 * 5 * 16 + 200 * 16) * sizeof(float)});
+
+  works.push_back(
+      {"sum_last_1000x16",
+       [] {
+         auto rng = std::make_shared<util::Rng>(24);
+         Tensor a = Tensor::Randn({1000, 16}, rng.get());
+         return std::function<void()>([a] {
+           tensor::NoGradGuard guard;
+           Tensor y = tensor::SumAxis(a, -1, false);
+           benchmark::DoNotOptimize(const_cast<float*>(y.data()));
+         });
+       },
+       1000.0 * 16, (1000.0 * 16 + 1000) * sizeof(float)});
+
   works.push_back(
       {"embedding_scatter",
        [] {
@@ -385,9 +463,10 @@ int RunKernelSweep() {
   const int rounds = smoke ? 1 : 5;
 
   const CpuCapability max_cap = tensor::MaxCpuCapability();
-  std::printf("=== SIMD kernel sweep (scalar vs %s, %d iters x %d rounds%s) "
-              "===\n",
-              tensor::CpuCapabilityName(max_cap), iters, rounds,
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::printf("=== SIMD kernel sweep (scalar vs %s, %d iters x %d rounds, "
+              "%u cores%s) ===\n",
+              tensor::CpuCapabilityName(max_cap), iters, rounds, cores,
               smoke ? ", smoke" : "");
 
   struct Row {
@@ -401,7 +480,7 @@ int RunKernelSweep() {
   };
   std::vector<Row> rows;
   const std::vector<KernelWork> works = BuildKernelWorkloads();
-  for (int threads : {1, 8}) {
+  for (int threads : bench::SweepThreadCounts()) {
     tensor::ComputeContext::Get().SetNumThreads(threads);
     for (const KernelWork& w : works) {
       Row row;
@@ -430,7 +509,10 @@ int RunKernelSweep() {
                           "Speedup", "GFLOP/s", "GB/s"});
   std::string json = "{\n  \"bench\": \"kernel_simd\",\n  \"smoke\": ";
   json += smoke ? "true" : "false";
-  json += ",\n  \"scalar_cap\": \"scalar\",\n  \"simd_cap\": \"";
+  json += ",\n  \"cores\": " + std::to_string(cores);
+  json += ",\n  \"cpu_capability\": \"";
+  json += tensor::CpuCapabilityName(tensor::ActiveCpuCapability());
+  json += "\",\n  \"scalar_cap\": \"scalar\",\n  \"simd_cap\": \"";
   json += tensor::CpuCapabilityName(max_cap);
   json += "\",\n  \"iters\": " + std::to_string(iters) +
           ",\n  \"results\": [\n";

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/telemetry/telemetry.h"
@@ -47,6 +48,15 @@ struct BenchScale {
     return s;
   }
 };
+
+/// Thread counts the micro sweeps (--kernel-sweep, --plan-sweep) time: 1
+/// and the machine's core count, or just 1 on a single core, so no row
+/// oversubscribes the cores it runs on.
+inline std::vector<int> SweepThreadCounts() {
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores <= 1) return {1};
+  return {1, cores};
+}
 
 /// The full Table III method roster, constructed fitted-config-consistent.
 /// `atlas` and `locations` must outlive the returned recommenders.

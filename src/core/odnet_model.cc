@@ -223,16 +223,6 @@ std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
 
 void OdnetModel::InvalidateServingPlans() { serving_plans_.clear(); }
 
-std::vector<double> OdnetModel::ServeScores(const data::OdBatch& batch) {
-  auto [po, pd] = Predict(batch);
-  const double t = theta();
-  std::vector<double> scores(po.size());
-  for (size_t i = 0; i < po.size(); ++i) {
-    scores[i] = t * po[i] + (1.0 - t) * pd[i];  // Eq. 11
-  }
-  return scores;
-}
-
 void OdnetModel::SeedSampleStreams(uint64_t seed) {
   // Distinct sub-stream per role so the two encoders never sample from the
   // same sequence (tags 1/2 mirror the O/D ordering of Fig. 3).

@@ -110,9 +110,6 @@ class OdnetModel : public nn::Module {
   /// Drops all captured serving plans (next batches re-capture).
   void InvalidateServingPlans();
 
-  /// Serving score of Eq. 11: theta * p_O + (1 - theta) * p_D.
-  std::vector<double> ServeScores(const data::OdBatch& batch);
-
   /// Reseeds both role encoders' HSGC sampling streams as a deterministic
   /// function of `seed` (distinct sub-streams per role). Data-parallel
   /// trainer workers call this on their replica before each batch slice so

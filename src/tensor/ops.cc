@@ -48,34 +48,62 @@ bool RefMode() { return ComputeContext::backend() == Backend::kReference; }
 constexpr int64_t kMatMulRowBlock = 16;
 constexpr int64_t kMatMulKBlock = 64;
 
+// The narrow-row kernels address a block's rows through int32 lane
+// offsets (lane * stride); strides past this bound keep the row kernels.
+constexpr int64_t kMaxNarrowStride = int64_t{1} << 26;
+
 // Forward kernel over global output rows r = bt*m + i in [row_begin,
 // row_end): C[r] += A[r] * B[bt]. The rank-1 row micro-kernel
 // (crow += sum_p arow[p] * B[p], ascending p, zero rows of A skipped) comes
 // from the capability dispatch table; every tier preserves that per-element
 // accumulation order, so the tiled result stays bitwise identical to the
-// naive i/p/j loop on any tier. Free function with by-value arguments so
-// the hot loops optimize independently of any closure.
-void MatMulForwardRows(simd::MatMulRowFn row_fn, const float* pa,
+// naive i/p/j loop on any tier. Output rows narrower than a vector go to the
+// tier's narrow kernel instead, which keeps that per-element order with a
+// block of rows in the lanes; its blocks never span two batch entries, so
+// every lane reads its own B. Free function with by-value arguments so the
+// hot loops optimize independently of any closure.
+void MatMulForwardRows(const simd::KernelTable& kt, const float* pa,
                        const float* pb, float* po, int64_t row_begin,
                        int64_t row_end, int64_t m, int64_t k, int64_t n,
                        bool b_batched) {
+  const bool narrow = n < kt.narrow.width && k < kMaxNarrowStride;
   int64_t r = row_begin;
   while (r < row_end) {
-    const int64_t bt = r / m;
-    const int64_t batch_lim = std::min(row_end, (bt + 1) * m);
+    const int64_t bt = b_batched ? r / m : 0;
+    const int64_t batch_lim =
+        b_batched ? std::min(row_end, (bt + 1) * m) : row_end;
     const float* B = pb + (b_batched ? bt * k * n : 0);
+    if (narrow) {
+      kt.narrow.matmul_rows(pa + r * k, B, po + r * n, batch_lim - r, k, n);
+      r = batch_lim;
+      continue;
+    }
     for (int64_t r0 = r; r0 < batch_lim; r0 += kMatMulRowBlock) {
       const int64_t r1 = std::min(batch_lim, r0 + kMatMulRowBlock);
       for (int64_t p0 = 0; p0 < k; p0 += kMatMulKBlock) {
         const int64_t p1 = std::min(k, p0 + kMatMulKBlock);
         for (int64_t rr = r0; rr < r1; ++rr) {
-          row_fn(pa + rr * k, B, po + rr * n, p0, p1, n);
+          kt.matmul_row(pa + rr * k, B, po + rr * n, p0, p1, n);
         }
       }
     }
     r = batch_lim;
   }
 }
+
+// A broadcast binary op's output walked as runs along its last dim: per
+// run, each operand either advances with the run (step 1) or stays on one
+// element (step 0, broadcast). Only the leading dims step an odometer, once
+// per run. Rank 0 is one run of one element.
+struct RunGrid {
+  Shape outer;                      // the output's leading dims
+  std::vector<int64_t> a_str;       // operand strides over `outer`
+  std::vector<int64_t> b_str;
+  int64_t len = 1;                  // run length: the output's last dim
+  int64_t a_step = 0;               // operand strides along a run: 0 or 1
+  int64_t b_step = 0;
+  int64_t num_runs = 1;
+};
 
 // Effective strides of `shape` when broadcast to `out_shape`: right-aligned,
 // 0 on broadcast/missing dims.
@@ -90,60 +118,78 @@ std::vector<int64_t> EffectiveStrides(const Shape& shape,
   return eff;
 }
 
-// Calls fn(out_idx, a_off, b_off) for out_idx in [begin, end), with operand
-// offsets following broadcast semantics. The starting offsets are derived
-// from `begin`, so disjoint ranges can run on different threads.
+RunGrid MakeRunGrid(const Shape& out_shape, const Shape& a_shape,
+                    const Shape& b_shape) {
+  RunGrid grid;
+  grid.a_str = EffectiveStrides(a_shape, out_shape);
+  grid.b_str = EffectiveStrides(b_shape, out_shape);
+  if (!out_shape.empty()) {
+    grid.outer.assign(out_shape.begin(), out_shape.end() - 1);
+    grid.len = out_shape.back();
+    grid.a_step = grid.a_str.back();
+    grid.b_step = grid.b_str.back();
+    grid.a_str.pop_back();
+    grid.b_str.pop_back();
+    grid.num_runs = grid.len == 0 ? 0 : Numel(grid.outer);
+  }
+  return grid;
+}
+
+// Calls fn(run, a_off, b_off) for the runs in [begin, end), with each
+// operand's offset at the run's first element. The starting offsets are
+// derived from `begin`, so disjoint ranges can run on different threads.
 template <typename Fn>
-void BroadcastIterateRange(const Shape& out_shape,
-                           const std::vector<int64_t>& a_str,
-                           const std::vector<int64_t>& b_str, int64_t begin,
-                           int64_t end, Fn&& fn) {
-  const size_t rank = out_shape.size();
-  std::vector<int64_t> counter(rank, 0);
+void ForEachRun(const RunGrid& grid, int64_t begin, int64_t end, Fn&& fn) {
+  if (begin >= end) return;
+  const Shape& dims = grid.outer;
+  const int64_t rank = static_cast<int64_t>(dims.size());
+  std::vector<int64_t> counter(dims.size(), 0);
   int64_t a_off = 0;
   int64_t b_off = 0;
   int64_t rem = begin;
-  for (int64_t d = static_cast<int64_t>(rank) - 1; d >= 0; --d) {
-    size_t ud = static_cast<size_t>(d);
-    counter[ud] = rem % out_shape[ud];
-    rem /= out_shape[ud];
-    a_off += counter[ud] * a_str[ud];
-    b_off += counter[ud] * b_str[ud];
+  for (int64_t d = rank - 1; d >= 0; --d) {
+    counter[d] = rem % dims[d];
+    rem /= dims[d];
+    a_off += counter[d] * grid.a_str[d];
+    b_off += counter[d] * grid.b_str[d];
   }
-  for (int64_t i = begin; i < end; ++i) {
-    fn(i, a_off, b_off);
-    // Odometer increment, updating offsets incrementally.
-    for (int64_t d = static_cast<int64_t>(rank) - 1; d >= 0; --d) {
-      size_t ud = static_cast<size_t>(d);
-      ++counter[ud];
-      a_off += a_str[ud];
-      b_off += b_str[ud];
-      if (counter[ud] < out_shape[ud]) break;
-      a_off -= a_str[ud] * out_shape[ud];
-      b_off -= b_str[ud] * out_shape[ud];
-      counter[ud] = 0;
+  for (int64_t run = begin; run < end; ++run) {
+    fn(run, a_off, b_off);
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      ++counter[d];
+      a_off += grid.a_str[d];
+      b_off += grid.b_str[d];
+      if (counter[d] < dims[d]) break;
+      a_off -= grid.a_str[d] * dims[d];
+      b_off -= grid.b_str[d] * dims[d];
+      counter[d] = 0;
     }
   }
 }
 
-// Runs fn(out_idx, a_off, b_off) for every output element, fanning disjoint
-// index ranges out over the backend pool. `fn` must write only its own
-// output index, which keeps results thread-count independent.
+// Runs fn(run, a_off, b_off) for every run, fanning disjoint run ranges
+// out over the backend pool. `fn` must write only its own run's output,
+// which keeps results thread-count independent.
 template <typename Fn>
-void BroadcastIterate(const Shape& out_shape, const Shape& a_shape,
-                      const Shape& b_shape, Fn&& fn) {
-  const int64_t n = Numel(out_shape);
-  if (out_shape.empty()) {
-    fn(0, 0, 0);
-    return;
-  }
-  std::vector<int64_t> a_str = EffectiveStrides(a_shape, out_shape);
-  std::vector<int64_t> b_str = EffectiveStrides(b_shape, out_shape);
-  Ctx().ParallelFor(n, Ctx().GrainFor(1),
+void ParallelRuns(const RunGrid& grid, Fn&& fn) {
+  Ctx().ParallelFor(grid.num_runs, Ctx().GrainFor(grid.len),
                     [&](int64_t begin, int64_t end) {
-                      BroadcastIterateRange(out_shape, a_str, b_str, begin,
-                                            end, fn);
+                      ForEachRun(grid, begin, end, fn);
                     });
+}
+
+// o[t] = op(x[t], y[t]) over one run of `len` with one side broadcast:
+// x stays on x[0] when `x_fixed`, else y stays on y[0].
+template <typename Op>
+void RunLoop(const float* x, const float* y, bool x_fixed, float* o,
+             int64_t len, Op op) {
+  if (x_fixed) {
+    const float xv = *x;
+    for (int64_t t = 0; t < len; ++t) o[t] = op(xv, y[t]);
+  } else {
+    const float yv = *y;
+    for (int64_t t = 0; t < len; ++t) o[t] = op(x[t], yv);
+  }
 }
 
 // Runs body(i) for i in [0, n) across the pool in disjoint ranges; body
@@ -157,39 +203,34 @@ void ParallelElementwise(int64_t n, int64_t per_unit_work, Body&& body) {
 }
 
 // Accumulates `grad` (laid out as `from` shape) scaled by `scale` into
-// `accum` (laid out as `to`, which `to` broadcasts to `from`).
+// `accum` (laid out as `to`, which `to` broadcasts to `from`). Serial, run
+// by run, so every slot of `accum` sums its contributions in ascending
+// element order.
 void ReduceGradToShape(const std::vector<float>& grad, const Shape& from,
                        const Shape& to, float scale,
                        std::vector<float>* accum) {
+  float* dst = accum->data();
   if (SameShape(from, to)) {
     if (scale == 1.0f) {
-      for (size_t i = 0; i < grad.size(); ++i) (*accum)[i] += grad[i];
+      for (size_t i = 0; i < grad.size(); ++i) dst[i] += grad[i];
     } else {
-      for (size_t i = 0; i < grad.size(); ++i) (*accum)[i] += scale * grad[i];
+      for (size_t i = 0; i < grad.size(); ++i) dst[i] += scale * grad[i];
     }
     return;
   }
-  std::vector<int64_t> to_str = EffectiveStrides(to, from);
-  const size_t rank = from.size();
-  if (rank == 0) {
-    (*accum)[0] += scale * grad[0];
-    return;
-  }
-  std::vector<int64_t> counter(rank, 0);
-  int64_t t_off = 0;
-  const int64_t n = Numel(from);
-  for (int64_t i = 0; i < n; ++i) {
-    (*accum)[static_cast<size_t>(t_off)] +=
-        scale * grad[static_cast<size_t>(i)];
-    for (int64_t d = static_cast<int64_t>(rank) - 1; d >= 0; --d) {
-      size_t ud = static_cast<size_t>(d);
-      ++counter[ud];
-      t_off += to_str[ud];
-      if (counter[ud] < from[ud]) break;
-      t_off -= to_str[ud] * from[ud];
-      counter[ud] = 0;
+  const RunGrid grid = MakeRunGrid(from, to, to);  // one operand: `to`
+  const int64_t len = grid.len;
+  ForEachRun(grid, 0, grid.num_runs, [&](int64_t run, int64_t t_off, int64_t) {
+    const float* g = grad.data() + run * len;
+    float* d = dst + t_off;
+    if (grid.a_step == 0) {
+      float sum = *d;
+      for (int64_t t = 0; t < len; ++t) sum += scale * g[t];
+      *d = sum;
+    } else {
+      for (int64_t t = 0; t < len; ++t) d[t] += scale * g[t];
     }
-  }
+  });
 }
 
 Shape BroadcastOrDie(const Shape& a, const Shape& b) {
@@ -273,7 +314,7 @@ void BinaryBackward(BinaryKind kind, const Shape& out_shape,
   }
 
   // Broadcasting mul/div: one pass building only the needed sides in output
-  // layout, then reduce into each parent's shape.
+  // layout, run by run, then reduce into each parent's shape.
   const int64_t n = Numel(out_shape);
   std::vector<float> ga;
   std::vector<float> gb;
@@ -282,24 +323,37 @@ void BinaryBackward(BinaryKind kind, const Shape& out_shape,
   const float* pg = g.data();
   const float* pa = ia->data().data();
   const float* pb = ib->data().data();
-  if (kind == BinaryKind::kMul) {
-    BroadcastIterate(out_shape, a_shape, b_shape,
-                     [&](int64_t i, int64_t oa, int64_t ob) {
-                       size_t ui = static_cast<size_t>(i);
-                       const float go = pg[ui];
-                       if (!ga.empty()) ga[ui] = go * pb[ob];
-                       if (!gb.empty()) gb[ui] = go * pa[oa];
-                     });
-  } else {  // kDiv
-    BroadcastIterate(out_shape, a_shape, b_shape,
-                     [&](int64_t i, int64_t oa, int64_t ob) {
-                       size_t ui = static_cast<size_t>(i);
-                       const float go = pg[ui];
-                       const float y = pb[ob];
-                       if (!ga.empty()) ga[ui] = go / y;
-                       if (!gb.empty()) gb[ui] = -go * pa[oa] / (y * y);
-                     });
-  }
+  const RunGrid grid = MakeRunGrid(out_shape, a_shape, b_shape);
+  const int64_t len = grid.len;
+  const simd::KernelTable& kt = simd::Kernels();
+  // d = g op other over one run, `other` advancing with `step` (0 or 1).
+  auto run_op = [&](const float* gr, const float* other, int64_t step,
+                    float* d) {
+    if (step == 1) {
+      kt.binary[static_cast<int>(kind)](gr, other, d, len);
+      return;
+    }
+    WithBinaryKernel(kind, [&](auto op) {
+      RunLoop(gr, other, /*x_fixed=*/false, d, len, op);
+    });
+  };
+  ParallelRuns(grid, [&](int64_t run, int64_t oa, int64_t ob) {
+    const float* gr = pg + run * len;
+    // ga = g * b (Mul) or g / b (Div).
+    if (need_a) run_op(gr, pb + ob, grid.b_step, ga.data() + run * len);
+    if (!need_b) return;
+    float* d = gb.data() + run * len;
+    if (kind == BinaryKind::kMul) {  // gb = g * a
+      run_op(gr, pa + oa, grid.a_step, d);
+      return;
+    }
+    const float* ar = pa + oa;  // gb = -g * a / (b * b)
+    const float* br = pb + ob;
+    for (int64_t t = 0; t < len; ++t) {
+      const float y = br[t * grid.b_step];
+      d[t] = -gr[t] * ar[t * grid.a_step] / (y * y);
+    }
+  });
   if (need_a) ReduceGradToShape(ga, out_shape, a_shape, 1.0f, &ia->grad);
   if (need_b) ReduceGradToShape(gb, out_shape, b_shape, 1.0f, &ib->grad);
 }
@@ -313,13 +367,17 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind,
   Shape b_shape = b.shape();
   OpBuffer out = AllocOpResult(Numel(out_shape), ZeroInit::kSkip);
 
+  const bool same_shape = SameShape(a_shape, b_shape);
+  const RunGrid grid =
+      same_shape ? RunGrid{} : MakeRunGrid(out_shape, a_shape, b_shape);
+
   // The forward kernel, shared verbatim between the eager call below and
   // the replay node (so replay is bitwise identical by construction).
-  auto run = [kind, out_shape, a_shape, b_shape](const float* pa,
-                                                 const float* pb, float* po) {
+  auto run = [kind, out_shape, a_shape, b_shape, same_shape, grid](
+                 const float* pa, const float* pb, float* po) {
     if (RefMode()) {
       reference::BinaryForward(kind, out_shape, a_shape, b_shape, pa, pb, po);
-    } else if (SameShape(a_shape, b_shape)) {
+    } else if (same_shape) {
       // Fast path: no broadcasting. Resolved per execution, not per capture,
       // so a replayed plan picks the (stamped, CHECK-verified) active tier.
       const int64_t n = Numel(out_shape);
@@ -328,11 +386,20 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind,
         fn(pa + b0, pb + b0, po + b0, b1 - b0);
       });
     } else {
+      // Broadcast: runs where both sides advance take the tier kernel; a
+      // run with one side broadcast holds that side's value fixed.
+      const int64_t len = grid.len;
+      const simd::BinaryEwFn fn =
+          simd::Kernels().binary[static_cast<int>(kind)];
       WithBinaryKernel(kind, [&](auto op) {
-        BroadcastIterate(out_shape, a_shape, b_shape,
-                         [&](int64_t i, int64_t ia, int64_t ib) {
-                           po[i] = op(pa[ia], pb[ib]);
-                         });
+        ParallelRuns(grid, [&](int64_t run, int64_t oa, int64_t ob) {
+          float* o = po + run * len;
+          if (grid.a_step == grid.b_step) {
+            fn(pa + oa, pb + ob, o, len);
+          } else {
+            RunLoop(pa + oa, pb + ob, grid.a_step == 0, o, len, op);
+          }
+        });
       });
     }
   };
@@ -546,11 +613,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     } else {
       // Tiled forward over global output rows r = bt*m + i; A's row is
       // pa + r*k and C's row is po + r*n. Workers own disjoint row ranges.
-      const simd::MatMulRowFn row_fn = simd::Kernels().matmul_row;
+      const simd::KernelTable& kt = simd::Kernels();
       Ctx().ParallelFor(batch * m, Ctx().GrainFor(k * n),
-                        [=](int64_t row_begin, int64_t row_end) {
-                          MatMulForwardRows(row_fn, pa, pb, po, row_begin,
-                                            row_end, m, k, n, b_batched);
+                        [=, &kt](int64_t row_begin, int64_t row_end) {
+                          MatMulForwardRows(kt, pa, pb, po, row_begin, row_end,
+                                            m, k, n, b_batched);
                         });
     }
   };
@@ -575,10 +642,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         }
         // dA[b] = G[b] * B[b]^T, partitioned by dA rows (disjoint writes).
         // B is transposed into a scratch Bt (an exact, order-free copy) so
-        // the dA product reuses the contiguous row micro-kernel: with
-        // Bt[j*k+p] == B[p*n+j], accumulating ascending j with grad-zero
-        // rows skipped replays the old strided column kernel's per-element
-        // sequence exactly — bitwise identical, on every tier.
+        // dA is the forward product G[b] * Bt[b]: with Bt[j*k+p] ==
+        // B[p*n+j], accumulating ascending j with grad-zero entries skipped
+        // replays the old strided column kernel's per-element sequence
+        // exactly — bitwise identical, on every tier, narrow rows included.
+        const simd::KernelTable& kt = simd::Kernels();
         if (ia->requires_grad) {
           const float* pb = ib->data().data();
           float* da = ia->grad.data();
@@ -598,38 +666,52 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                               }
                             });
           const float* pbt = bt0;
-          const simd::MatMulRowFn row_fn = simd::Kernels().matmul_row;
-          Ctx().ParallelFor(
-              batch * m, Ctx().GrainFor(k * n),
-              [=](int64_t row_begin, int64_t row_end) {
-                for (int64_t r = row_begin; r < row_end; ++r) {
-                  const int64_t bi = r / m;
-                  const float* Bt = pbt + (b_batched ? bi * n * k : 0);
-                  row_fn(G + r * n, Bt, da + r * k, 0, n, k);
-                }
-              });
+          Ctx().ParallelFor(batch * m, Ctx().GrainFor(k * n),
+                            [=, &kt](int64_t row_begin, int64_t row_end) {
+                              MatMulForwardRows(kt, G, pbt, da, row_begin,
+                                                row_end, m, n, k, b_batched);
+                            });
         }
         // dB[b] += A[b]^T * G[b], partitioned by dB rows p: each worker
         // owns whole rows of dB, summing contributions in (batch, i)
-        // order — the same order as the serial kernel.
+        // order — the same order as the serial kernel. For dB rows
+        // narrower than a vector, the narrow kernel takes a worker's rows
+        // as one block (a shared B's batch entries are consecutive rows of
+        // A and G, so it sums all batch*m of them in that same order).
         if (ib->requires_grad) {
           const float* pa = ia->data().data();
           float* db = ib->grad.data();
-          const simd::MatMulDbRowFn db_row_fn = simd::Kernels().matmul_db_row;
+          const simd::MatMulDbRowFn db_row_fn = kt.matmul_db_row;
+          const simd::MatMulDbRowsNarrowFn db_narrow = kt.narrow.matmul_db_rows;
+          const bool narrow = n < kt.narrow.width;
           if (b_batched) {
             Ctx().ParallelFor(
                 batch * k, Ctx().GrainFor(m * n),
                 [=](int64_t rb_begin, int64_t rb_end) {
-                  for (int64_t rbr = rb_begin; rbr < rb_end; ++rbr) {
+                  for (int64_t rbr = rb_begin; rbr < rb_end;) {
                     const int64_t bt = rbr / k;
-                    db_row_fn(pa + bt * m * k, G + bt * m * n, db + rbr * n,
-                              rbr % k, m, k, n);
+                    const int64_t lim = std::min(rb_end, (bt + 1) * k);
+                    const float* a_bt = pa + bt * m * k;
+                    const float* g_bt = G + bt * m * n;
+                    if (narrow) {
+                      db_narrow(a_bt, g_bt, db + bt * k * n, rbr - bt * k,
+                                lim - bt * k, m, k, n);
+                    } else {
+                      for (int64_t r = rbr; r < lim; ++r) {
+                        db_row_fn(a_bt, g_bt, db + r * n, r - bt * k, m, k, n);
+                      }
+                    }
+                    rbr = lim;
                   }
                 });
           } else {
             Ctx().ParallelFor(
                 k, Ctx().GrainFor(batch * m * n),
                 [=](int64_t p_begin, int64_t p_end) {
+                  if (narrow) {
+                    db_narrow(pa, G, db, p_begin, p_end, batch * m, k, n);
+                    return;
+                  }
                   for (int64_t p = p_begin; p < p_end; ++p) {
                     for (int64_t bt = 0; bt < batch; ++bt) {
                       db_row_fn(pa + bt * m * k, G + bt * m * n, db + p * n,
@@ -1137,6 +1219,16 @@ Tensor SumAxis(const Tensor& a, int axis, bool keepdim) {
       // Each outer block owns out[o*inner, (o+1)*inner): disjoint, and the
       // per-element sum over the axis keeps its serial order (lanes map to
       // distinct inner positions, so vector tiers stay bitwise identical).
+      // Over the last axis a block is one float: one loop per row.
+      if (inner == 1) {
+        ParallelElementwise(outer, axis_dim, [&](int64_t o) {
+          const float* row = src + o * axis_dim;
+          float sum = po[o];
+          for (int64_t k = 0; k < axis_dim; ++k) sum += row[k];
+          po[o] = sum;
+        });
+        return;
+      }
       const simd::AddIntoFn add_into = simd::Kernels().add_into;
       ParallelElementwise(outer, axis_dim * inner, [&](int64_t o) {
         for (int64_t k = 0; k < axis_dim; ++k) {
@@ -1156,6 +1248,14 @@ Tensor SumAxis(const Tensor& a, int axis, bool keepdim) {
         float* d0 = parent->grad.data();
         if (RefMode()) {
           reference::SumAxisBackward(g0, d0, outer, axis_dim, inner);
+          return;
+        }
+        if (inner == 1) {
+          ParallelElementwise(outer, axis_dim, [&](int64_t o) {
+            const float g = g0[o];
+            float* row = d0 + o * axis_dim;
+            for (int64_t k = 0; k < axis_dim; ++k) row[k] += g;
+          });
           return;
         }
         const simd::AddIntoFn add_into = simd::Kernels().add_into;
@@ -1193,20 +1293,31 @@ Tensor Softmax(const Tensor& a) {
   ODNET_CHECK(a.defined());
   ODNET_CHECK_GE(a.rank(), 1);
   const int64_t cols = a.dim(-1);
-  const int64_t rows = a.numel() / cols;
+  // An empty last axis has no rows: the result is empty too.
+  const int64_t rows = cols == 0 ? 0 : a.numel() / cols;
   OpBuffer out = AllocOpResult(a.numel(), ZeroInit::kSkip);
   auto run = [rows, cols](const float* src, float* po) {
     if (RefMode()) {
       reference::SoftmaxForward(src, po, rows, cols);
-    } else {
-      // Whole rows per worker; the row kernel (scalar, or the tolerance-tier
-      // vector exp + fixed lane-tree horizontal sum) owns its row entirely,
-      // so results are thread-count invariant within any one tier.
-      const simd::SoftmaxRowFn row_fn = simd::Kernels().softmax_row;
-      ParallelElementwise(rows, cols, [&](int64_t r) {
-        row_fn(src + r * cols, po + r * cols, cols);
-      });
+      return;
     }
+    // Whole rows per worker; the row kernel (scalar, or the tolerance-tier
+    // vector exp + fixed lane-tree horizontal sum) owns its row entirely,
+    // so results are thread-count invariant within any one tier. Rows
+    // narrower than a vector go a worker's block at a time to the narrow
+    // kernel, which returns the row kernel's bits.
+    const simd::KernelTable& kt = simd::Kernels();
+    if (cols < kt.narrow.width) {
+      Ctx().ParallelFor(
+          rows, Ctx().GrainFor(cols), [&](int64_t b0, int64_t b1) {
+            kt.narrow.softmax_rows(src + b0 * cols, po + b0 * cols, b1 - b0,
+                                   cols);
+          });
+      return;
+    }
+    ParallelElementwise(rows, cols, [&](int64_t r) {
+      kt.softmax_row(src + r * cols, po + r * cols, cols);
+    });
   };
   run(a.data(), out.data());
   Tensor result = Tensor::MakeForOp(
@@ -1221,9 +1332,18 @@ Tensor Softmax(const Tensor& a) {
           reference::SoftmaxBackward(g0, y0, d0, rows, cols);
           return;
         }
-        const simd::SoftmaxBwdRowFn row_fn = simd::Kernels().softmax_bwd_row;
+        const simd::KernelTable& kt = simd::Kernels();
+        if (cols < kt.narrow.width) {
+          Ctx().ParallelFor(
+              rows, Ctx().GrainFor(cols), [&](int64_t b0, int64_t b1) {
+                kt.narrow.softmax_bwd_rows(g0 + b0 * cols, y0 + b0 * cols,
+                                           d0 + b0 * cols, b1 - b0, cols);
+              });
+          return;
+        }
         ParallelElementwise(rows, cols, [&](int64_t r) {
-          row_fn(g0 + r * cols, y0 + r * cols, d0 + r * cols, cols);
+          kt.softmax_bwd_row(g0 + r * cols, y0 + r * cols, d0 + r * cols,
+                             cols);
         });
       });
   if (capture::Active()) {

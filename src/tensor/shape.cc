@@ -44,7 +44,9 @@ util::Result<Shape> BroadcastShapes(const Shape& a, const Shape& b) {
           "shapes not broadcastable: " + ShapeToString(a) + " vs " +
           ShapeToString(b));
     }
-    out[rank - 1 - i] = std::max(da, db);
+    // A size-1 dim takes the other side's size, 0 included: [0, 16] with
+    // [16] is [0, 16], not [1, 16].
+    out[rank - 1 - i] = da == 1 ? db : da;
   }
   return out;
 }

@@ -207,7 +207,7 @@ void AdaGradRow(float* w, float* acc, const float* g, float lr, float eps,
 
 namespace {
 
-#define ODNET_SIMD_TIER_TABLE(ns)                                       \
+#define ODNET_SIMD_TIER_TABLE(ns, narrow)                               \
   KernelTable {                                                         \
     {ns::AddEw, ns::SubEw, ns::MulEw, ns::DivEw},                       \
         {ns::ReluFwd, ns::LeakyReluFwd, ns::SigmoidFwd, ns::TanhFwd,    \
@@ -217,17 +217,27 @@ namespace {
         ns::MulAccum, ns::DivBwdA, ns::DivBwdB, ns::MatMulRow,          \
         ns::MatMulDbRow, ns::AddInto, ns::Scale, ns::SoftmaxRow,        \
         ns::SoftmaxBwdRow, ns::SgdRow, ns::SgdMomentumRow, ns::AdamRow, \
-        ns::AdaGradRow                                                  \
+        ns::AdaGradRow, narrow                                          \
+  }
+// `width` is the tier's lane count (kW in simd_vec_kernels.inc).
+#define ODNET_SIMD_NARROW(ns, width)                                    \
+  NarrowKernels {                                                       \
+    width, ns::MatMulRowsNarrow, ns::MatMulDbRowsNarrow,                \
+        ns::SoftmaxRowsNarrow, ns::SoftmaxBwdRowsNarrow                 \
   }
 
-const KernelTable kScalarTable = ODNET_SIMD_TIER_TABLE(scalar);
+const KernelTable kScalarTable =
+    ODNET_SIMD_TIER_TABLE(scalar, NarrowKernels{});
 #if defined(ODNET_HAVE_AVX2_KERNELS)
-const KernelTable kAvx2Table = ODNET_SIMD_TIER_TABLE(avx2);
+const KernelTable kAvx2Table =
+    ODNET_SIMD_TIER_TABLE(avx2, ODNET_SIMD_NARROW(avx2, 8));
 #endif
 #if defined(ODNET_HAVE_AVX512_KERNELS)
-const KernelTable kAvx512Table = ODNET_SIMD_TIER_TABLE(avx512);
+const KernelTable kAvx512Table =
+    ODNET_SIMD_TIER_TABLE(avx512, ODNET_SIMD_NARROW(avx512, 16));
 #endif
 
+#undef ODNET_SIMD_NARROW
 #undef ODNET_SIMD_TIER_TABLE
 
 }  // namespace

@@ -84,6 +84,20 @@ using SoftmaxRowFn = void (*)(const float* x, float* y, int64_t cols);
 // dx[c] += (g[c] - dot(g, y)) * y[c] over one row.
 using SoftmaxBwdRowFn = void (*)(const float* g, const float* y, float* dx,
                                  int64_t cols);
+// MatMulRowFn over `rows` consecutive rows of A and C at once (p over all of
+// [0, k)), for a C row of n < NarrowKernels::width.
+using MatMulRowsNarrowFn = void (*)(const float* A, const float* B, float* C,
+                                    int64_t rows, int64_t k, int64_t n);
+// MatMulDbRowFn for every dB row p in [p0, p1), n < NarrowKernels::width.
+using MatMulDbRowsNarrowFn = void (*)(const float* A, const float* G,
+                                      float* dB, int64_t p0, int64_t p1,
+                                      int64_t m, int64_t k, int64_t n);
+// SoftmaxRowFn / SoftmaxBwdRowFn over `rows` consecutive rows of
+// cols < NarrowKernels::width.
+using SoftmaxRowsNarrowFn = void (*)(const float* x, float* y, int64_t rows,
+                                     int64_t cols);
+using SoftmaxBwdRowsNarrowFn = void (*)(const float* g, const float* y,
+                                        float* dx, int64_t rows, int64_t cols);
 // w[j] -= lr * g[j]
 using SgdRowFn = void (*)(float* w, const float* g, float lr, int64_t n);
 // v[j] = mu * v[j] + g[j]; w[j] -= lr * v[j].  g == nullptr means a decay
@@ -98,6 +112,18 @@ using AdamRowFn = void (*)(float* w, float* m, float* v, const float* g,
 // acc += g*g; w -= lr * g / (sqrt(acc) + eps).
 using AdaGradRowFn = void (*)(float* w, float* acc, const float* g, float lr,
                               float eps, int64_t n);
+
+// Narrow-row kernels (DESIGN.md §11): for rows narrower than one vector they
+// put `width` rows in the lanes, one vector per column, and give each
+// element exactly the row kernel's operation sequence — so they return the
+// row kernels' bits. The scalar tier has none (width 0, null kernels).
+struct NarrowKernels {
+  int64_t width;  // the tier's lane count: rows narrower than this qualify
+  MatMulRowsNarrowFn matmul_rows;
+  MatMulDbRowsNarrowFn matmul_db_rows;
+  SoftmaxRowsNarrowFn softmax_rows;
+  SoftmaxBwdRowsNarrowFn softmax_bwd_rows;
+};
 
 struct KernelTable {
   BinaryEwFn binary[kNumBinaryEw];
@@ -116,6 +142,7 @@ struct KernelTable {
   SgdMomentumRowFn sgd_momentum_row;
   AdamRowFn adam_row;
   AdaGradRowFn adagrad_row;
+  NarrowKernels narrow;
 };
 
 /// Table for an explicit tier; CHECK-fails if that tier is not compiled in.
@@ -172,6 +199,15 @@ CpuCapability MaxCompiledCpuCapability();
   void SoftmaxRow(const float* x, float* y, int64_t cols);                    \
   void SoftmaxBwdRow(const float* g, const float* y, float* dx,               \
                      int64_t cols);                                           \
+  void MatMulRowsNarrow(const float* A, const float* B, float* C,             \
+                        int64_t rows, int64_t k, int64_t n);                  \
+  void MatMulDbRowsNarrow(const float* A, const float* G, float* dB,          \
+                          int64_t p0, int64_t p1, int64_t m, int64_t k,       \
+                          int64_t n);                                         \
+  void SoftmaxRowsNarrow(const float* x, float* y, int64_t rows,              \
+                         int64_t cols);                                       \
+  void SoftmaxBwdRowsNarrow(const float* g, const float* y, float* dx,        \
+                            int64_t rows, int64_t cols);                      \
   void SgdRow(float* w, const float* g, float lr, int64_t n);                 \
   void SgdMomentumRow(float* w, float* v, const float* g, float lr, float mu, \
                       int64_t n);                                             \

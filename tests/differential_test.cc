@@ -45,6 +45,7 @@
 #include "src/tensor/cpu_capability.h"
 #include "src/tensor/graph_plan.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd/simd_kernels.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -718,7 +719,271 @@ TEST(DifferentialOpTest, VectorTailShapes) {
   }
 }
 
+// ------------------------------------------------------------ narrow rows --
+
+// Rows narrower than one vector (8 lanes on AVX2, 16 on AVX-512) take the
+// narrow-row kernels, which put a block of rows in the lanes. Row counts
+// straddle both widths so full and partial blocks run on every tier.
+const std::vector<int64_t> kNarrowRowCounts = {1, 7, 8, 15, 16, 37};
+
+// Fills `t` so a third of its entries are zero, some of them -0.0.
+void ZeroAThird(Tensor* t) {
+  float* p = t->mutable_data();
+  for (int64_t i = 0; i < t->numel(); i += 3) {
+    p[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+  }
+}
+
+// [M,K]x[K,N] (mode 0), [B,M,K]x[B,K,N] (mode 1) or [B,M,K]x[K,N] (mode 2)
+// with a third of A zero, some of it -0.0. With `inf_opposite_zero`, A's
+// column 0 is all zero and B[0, 0] (of batch entry 0) is +inf.
+Tensor NarrowMatMulCase(int mode, int64_t m, int64_t k, int64_t n,
+                        bool inf_opposite_zero, std::vector<Tensor>* leaves,
+                        util::Rng* rng) {
+  const int64_t bt = 3;
+  Shape sa = mode == 0 ? Shape{m, k} : Shape{bt, m, k};
+  Shape sb = mode == 1 ? Shape{bt, k, n} : Shape{k, n};
+  Tensor a = testing::RandomTensor(sa, rng);
+  Tensor b = testing::RandomTensor(sb, rng);
+  ZeroAThird(&a);
+  if (inf_opposite_zero) {
+    for (int64_t r = 0; r < a.numel() / k; ++r) a.mutable_data()[r * k] = 0.0f;
+    b.mutable_data()[0] = std::numeric_limits<float>::infinity();
+  }
+  a.set_requires_grad(true);
+  b.set_requires_grad(true);
+  leaves->push_back(a);
+  leaves->push_back(b);
+  return tensor::MatMul(a, b);
+}
+
+TEST(DifferentialOpTest, NarrowMatMul) {
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int64_t m : kNarrowRowCounts) {
+      for (int64_t n : {int64_t{1}, int64_t{3}, int64_t{4}, int64_t{10},
+                        int64_t{15}}) {
+        for (int64_t k : {int64_t{4}, int64_t{16}, int64_t{84}}) {
+          CheckOp("NarrowMatMul/mode" + std::to_string(mode) + "/m" +
+                      std::to_string(m) + "/n" + std::to_string(n) + "/k" +
+                      std::to_string(k),
+                  9600 + static_cast<uint64_t>(m * 131 + n * 7 + k),
+                  [mode, m, n, k](std::vector<Tensor>* leaves,
+                                  util::Rng* rng) {
+                    return NarrowMatMulCase(mode, m, k, n, false, leaves, rng);
+                  });
+        }
+      }
+    }
+  }
+}
+
+// MatMul skips zero entries of A (a sparse one-hot fast path), so an inf in
+// B opposite a zero in A never reaches the output; the reference oracle
+// multiplies through (inf * 0 = NaN), so here every tier and thread count
+// is checked against the scalar tier, and the forward must stay finite.
+TEST(DifferentialOpTest, NarrowMatMulSkipKeepsInfOut) {
+  ComputeConfigGuard guard;
+  ComputeContext& ctx = ComputeContext::Get();
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int64_t m : kNarrowRowCounts) {
+      for (int64_t n : {int64_t{1}, int64_t{4}, int64_t{10}, int64_t{15}}) {
+        const std::string tag = "NarrowMatMulInf/mode" + std::to_string(mode) +
+                                "/m" + std::to_string(m) + "/n" +
+                                std::to_string(n);
+        const Program program = [mode, m, n](uint64_t s,
+                                             std::vector<float>* out) {
+          util::Rng rng(s);
+          std::vector<Tensor> leaves;
+          Tensor y = NarrowMatMulCase(mode, m, 16, n, true, &leaves, &rng);
+          for (float v : y.vec()) EXPECT_TRUE(std::isfinite(v));
+          Emit(y, out);
+          Tensor loss = WeightedSum(y, &rng);
+          for (Tensor& leaf : leaves) leaf.ZeroGrad();
+          loss.Backward();
+          for (const Tensor& leaf : leaves) EmitGrad(leaf, out);
+        };
+        std::vector<float> want;
+        {
+          CpuCapabilityScope scalar(CpuCapability::kScalar);
+          ctx.SetNumThreads(1);
+          want = RunProgram(program, 9650);
+        }
+        for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
+          CpuCapabilityScope cap_scope(cap);
+          for (int threads : {1, 8}) {
+            ctx.SetNumThreads(threads);
+            ctx.SetParallelThreshold(1);
+            testing::ExpectUlpClose(
+                RunProgram(program, 9650), want, 0,
+                tag + " [cap=" + CpuCapabilityName(cap) +
+                    " threads=" + std::to_string(threads) + "]");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DifferentialOpTest, NarrowSoftmax) {
+  // A third of the entries carry the -1e9 padding mask; row 2 is NaN.
+  for (int64_t c : {int64_t{1}, int64_t{3}, int64_t{5}, int64_t{10},
+                    int64_t{15}}) {
+    CheckOp("NarrowSoftmax/c" + std::to_string(c),
+            9700 + static_cast<uint64_t>(c),
+            [c](std::vector<Tensor>* leaves, util::Rng* rng) {
+              Tensor a = testing::RandomTensor({37, c}, rng);
+              float* p = a.mutable_data();
+              for (int64_t i = 1; i < a.numel(); i += 3) p[i] = -1e9f;
+              p[2 * c] = std::numeric_limits<float>::quiet_NaN();
+              a.set_requires_grad(true);
+              leaves->push_back(a);
+              return tensor::Softmax(a);
+            },
+            kExpFamilyOpTol);
+  }
+}
+
+TEST(DifferentialOpTest, NarrowBroadcasts) {
+  // ODNET's broadcast patterns: HSGC attention and pooling, PEC pooling,
+  // DotProductAttention, the MHA key mask, Linear bias and the MMoE gates.
+  const std::vector<std::pair<Shape, Shape>> patterns = {
+      {{7, 1, 16}, {7, 5, 16}}, {{7, 5, 1}, {7, 5, 16}},
+      {{6, 5, 16}, {6, 5, 1}},  {{6, 1, 16}, {6, 10, 16}},
+      {{6, 10, 10}, {6, 1, 10}}, {{9, 16}, {16}},
+      {{6, 1}, {6, 32}}};
+  struct Kind {
+    const char* name;
+    Tensor (*fn)(const Tensor&, const Tensor&);
+  };
+  const Kind kinds[] = {{"Add", tensor::Add},
+                        {"Sub", tensor::Sub},
+                        {"Mul", tensor::Mul},
+                        {"Div", tensor::Div}};
+  for (const Kind& kind : kinds) {
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      for (bool swap : {false, true}) {
+        const Shape& sa = swap ? patterns[i].second : patterns[i].first;
+        const Shape& sb = swap ? patterns[i].first : patterns[i].second;
+        const bool is_div = kind.fn == tensor::Div;
+        CheckOp(std::string("NarrowBroadcast/") + kind.name + "/p" +
+                    std::to_string(i) + (swap ? "/swap" : ""),
+                9800 + i,
+                [&kind, &sa, &sb, is_div](std::vector<Tensor>* leaves,
+                                          util::Rng* rng) {
+                  Tensor a = testing::RandomTensor(sa, rng, true);
+                  Tensor b = is_div ? testing::RandomTensor(sb, rng, true,
+                                                            0.5f, 2.5f)
+                                    : testing::RandomTensor(sb, rng, true);
+                  leaves->push_back(a);
+                  leaves->push_back(b);
+                  return kind.fn(a, b);
+                });
+      }
+    }
+  }
+}
+
+TEST(DifferentialOpTest, NarrowSumAxisLast) {
+  for (bool keepdim : {false, true}) {
+    CheckOp(std::string("NarrowSumAxisLast") + (keepdim ? "/keep" : "/drop"),
+            9900, [keepdim](std::vector<Tensor>* leaves, util::Rng* rng) {
+              Tensor a = testing::RandomTensor({37, 5, 16}, rng);
+              ZeroAThird(&a);
+              a.set_requires_grad(true);
+              leaves->push_back(a);
+              return tensor::SumAxis(a, -1, keepdim);
+            });
+  }
+}
+
+// The vector tiers' Softmax is only tolerance-matched against the oracle,
+// so the narrow kernels are pinned bitwise to their own tier's row kernels
+// instead: forward through the op, backward kernel against kernel.
+TEST(SimdNarrowTest, NarrowSoftmaxMatchesRowKernelBitwise) {
+  ComputeConfigGuard guard;
+  ComputeContext& ctx = ComputeContext::Get();
+  for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
+    const tensor::simd::KernelTable& kt = tensor::simd::KernelsFor(cap);
+    if (kt.narrow.width == 0) continue;
+    CpuCapabilityScope cap_scope(cap);
+    for (int64_t rows : kNarrowRowCounts) {
+      for (int64_t cols = 1; cols < kt.narrow.width; ++cols) {
+        const std::string tag = std::string("NarrowSoftmaxRow [cap=") +
+                                CpuCapabilityName(cap) + " rows=" +
+                                std::to_string(rows) +
+                                " cols=" + std::to_string(cols) + "]";
+        util::Rng rng(static_cast<uint64_t>(rows * 100 + cols));
+        std::vector<float> x = testing::RandomTensor({rows, cols}, &rng).vec();
+        std::vector<float> g = testing::RandomTensor({rows, cols}, &rng).vec();
+        for (size_t i = 1; i < x.size(); i += 3) x[i] = -1e9f;
+        x[0] = -0.0f;
+        if (rows > 2) x[static_cast<size_t>(2 * cols)] = std::nanf("");
+        std::vector<float> want(x.size());
+        std::vector<float> want_dx(x.size(), 0.5f);
+        for (int64_t r = 0; r < rows; ++r) {
+          kt.softmax_row(x.data() + r * cols, want.data() + r * cols, cols);
+          kt.softmax_bwd_row(g.data() + r * cols, want.data() + r * cols,
+                             want_dx.data() + r * cols, cols);
+        }
+        for (int threads : {1, 8}) {
+          ctx.SetNumThreads(threads);
+          ctx.SetParallelThreshold(1);
+          Tensor y = tensor::Softmax(Tensor::FromVector({rows, cols}, x));
+          testing::ExpectUlpClose(y.vec(), want, 0,
+                                  tag + " threads=" + std::to_string(threads));
+        }
+        std::vector<float> dx(x.size(), 0.5f);
+        kt.narrow.softmax_bwd_rows(g.data(), want.data(), dx.data(), rows,
+                                   cols);
+        testing::ExpectUlpClose(dx, want_dx, 0, tag + " backward");
+      }
+    }
+  }
+}
+
 // ------------------------------------------------ vector-exp ULP budgets --
+
+// ExpV flushes every input below its clamp bound (-87.34) to exactly +0.0f
+// without forming a denormal on the way; Exp, Sigmoid and Softmax (whose
+// -1e9 padding masks land there) inherit that on every vector tier.
+TEST(SimdMathTest, UnderflowingExpFamilyIsExactlyPositiveZero) {
+  const std::vector<float> xs = {-87.35f, -88.0f, -100.0f, -1e4f, -1e9f,
+                                 -std::numeric_limits<float>::max(),
+                                 -std::numeric_limits<float>::infinity()};
+  const int64_t n = static_cast<int64_t>(xs.size());
+  auto expect_plus_zero = [](const std::vector<float>& ys, size_t from,
+                             size_t step, const std::string& tag) {
+    for (size_t i = from; i < ys.size(); i += step) {
+      EXPECT_EQ(std::fpclassify(ys[i]), FP_ZERO) << tag << " at " << i;
+      EXPECT_FALSE(std::signbit(ys[i])) << tag << " at " << i;
+    }
+  };
+  for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
+    if (cap == CpuCapability::kScalar) continue;
+    CpuCapabilityScope cap_scope(cap);
+    const std::string tier = std::string(" [cap=") + CpuCapabilityName(cap) +
+                             "]";
+    Tensor x = Tensor::FromVector({n}, xs);
+    expect_plus_zero(tensor::Exp(x).vec(), 0, 1, "Exp" + tier);
+    expect_plus_zero(tensor::Sigmoid(x).vec(), 0, 1, "Sigmoid" + tier);
+    // Rows [0, x, x, ...] of narrow and wide widths: every x entry is +0.
+    for (int64_t cols : {int64_t{2}, int64_t{10}, int64_t{40}}) {
+      std::vector<float> rows;
+      for (float v : xs) {
+        rows.push_back(0.0f);
+        for (int64_t c = 1; c < cols; ++c) rows.push_back(v);
+      }
+      Tensor s = tensor::Softmax(Tensor::FromVector({n, cols}, rows));
+      std::vector<float> ys = s.vec();
+      for (int64_t r = 0; r < n; ++r) {
+        EXPECT_EQ(ys[static_cast<size_t>(r * cols)], 1.0f) << "Softmax" << tier;
+        ys[static_cast<size_t>(r * cols)] = 0.0f;
+      }
+      expect_plus_zero(ys, 0, 1,
+                       "Softmax/cols" + std::to_string(cols) + tier);
+    }
+  }
+}
 
 // The vector exp family is tolerance-tier against the scalar tier, but each
 // kernel also carries an absolute accuracy contract against correctly

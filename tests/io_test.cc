@@ -1,6 +1,8 @@
 // Tests for dataset CSV I/O and model checkpointing.
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <unistd.h>
 
 #include "gtest/gtest.h"
@@ -22,9 +24,17 @@ data::OdDataset MakeDataset() {
   return data::FliggySimulator(config).Generate();
 }
 
+// A directory of its own for each test: ctest runs the tests of this file
+// as concurrent processes, and two of them corrupt the files they write.
+std::string OwnTempDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/odnet_io_" + name;
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 TEST(DatasetIoTest, RoundTripPreservesEverything) {
   data::OdDataset original = MakeDataset();
-  auto paths = data::DatasetIoPaths::InDirectory(::testing::TempDir());
+  auto paths = data::DatasetIoPaths::InDirectory(OwnTempDir("round_trip"));
   ASSERT_TRUE(data::WriteDataset(original, paths).ok());
 
   auto restored = data::ReadDataset(paths);
@@ -70,7 +80,7 @@ TEST(DatasetIoTest, RejectsMissingFile) {
 }
 
 TEST(DatasetIoTest, RejectsBadHeader) {
-  std::string dir = ::testing::TempDir();
+  std::string dir = OwnTempDir("bad_header");
   auto paths = data::DatasetIoPaths::InDirectory(dir);
   ASSERT_TRUE(data::WriteDataset(MakeDataset(), paths).ok());
   // Corrupt the users header.
@@ -83,7 +93,7 @@ TEST(DatasetIoTest, RejectsBadHeader) {
 }
 
 TEST(DatasetIoTest, RejectsOutOfRangeUser) {
-  std::string dir = ::testing::TempDir();
+  std::string dir = OwnTempDir("bad_user");
   auto paths = data::DatasetIoPaths::InDirectory(dir);
   ASSERT_TRUE(data::WriteDataset(MakeDataset(), paths).ok());
   FILE* f = std::fopen(paths.bookings_csv.c_str(), "w");

@@ -358,6 +358,64 @@ TEST(OpsTest, SoftmaxRowsSumToOne) {
   EXPECT_NEAR(s.data()[3], 1.0f / 3.0f, 1e-6f);
 }
 
+TEST(OpsTest, SoftmaxOverEmptyAxisIsEmpty) {
+  // Like MatMul with k = 0 and SumAxis over an empty axis: no rows, no
+  // work, an empty result and an empty gradient, under both backends.
+  for (Backend backend : {Backend::kOptimized, Backend::kReference}) {
+    BackendGuard guard(backend);
+    for (const Shape& shape : {Shape{3, 0}, Shape{0}, Shape{0, 4}}) {
+      Tensor a = Tensor::Zeros(shape);
+      a.set_requires_grad(true);
+      Tensor s = Softmax(a);
+      EXPECT_EQ(s.shape(), shape);
+      EXPECT_EQ(s.numel(), 0);
+      Sum(s).Backward();
+      EXPECT_TRUE(a.grad().empty());
+    }
+  }
+}
+
+TEST(OpsTest, ZeroSizeShapesAreNoOps) {
+  // Narrow-width MatMuls, broadcasts and last-axis sums with an empty dim:
+  // empty or all-zero results, and backward passes that write nothing.
+  using Binary = Tensor (*)(const Tensor&, const Tensor&);
+  for (Backend backend : {Backend::kOptimized, Backend::kReference}) {
+    BackendGuard guard(backend);
+    const std::vector<std::pair<Shape, Shape>> matmuls = {
+        {{0, 4}, {4, 3}}, {{5, 0}, {0, 3}}, {{5, 4}, {4, 0}},
+        {{2, 0, 4}, {2, 4, 3}}, {{2, 5, 0}, {0, 3}}};
+    for (const auto& [sa, sb] : matmuls) {
+      Tensor a = Tensor::Zeros(sa);
+      Tensor b = Tensor::Zeros(sb);
+      a.set_requires_grad(true);
+      b.set_requires_grad(true);
+      Tensor c = MatMul(a, b);
+      for (float v : c.vec()) EXPECT_EQ(v, 0.0f);
+      Sum(c).Backward();
+      for (float g : a.grad()) EXPECT_EQ(g, 0.0f);
+      for (float g : b.grad()) EXPECT_EQ(g, 0.0f);
+    }
+    const std::vector<std::pair<Shape, Shape>> broadcasts = {
+        {{0, 16}, {16}}, {{3, 0, 1}, {3, 1, 5}}, {{4, 0}, {4, 1}}};
+    for (Binary op : {Binary{Add}, Binary{Mul}, Binary{Div}}) {
+      for (const auto& [sa, sb] : broadcasts) {
+        Tensor a = Tensor::Zeros(sa);
+        Tensor b = Tensor::Ones(sb);
+        a.set_requires_grad(true);
+        b.set_requires_grad(true);
+        Tensor c = op(a, b);
+        EXPECT_EQ(c.numel(), 0);
+        Sum(c).Backward();
+        for (float g : b.grad()) EXPECT_EQ(g, 0.0f);
+      }
+    }
+    Tensor s = SumAxis(Tensor::Zeros({4, 0}), -1);
+    EXPECT_EQ(s.shape(), (Shape{4}));
+    for (float v : s.vec()) EXPECT_EQ(v, 0.0f);
+    EXPECT_EQ(SumAxis(Tensor::Zeros({0, 5}), -1).numel(), 0);
+  }
+}
+
 TEST(OpsTest, SoftmaxOrderingPreserved) {
   Tensor a = Tensor::FromVector({1, 3}, {1, 3, 2});
   Tensor s = Softmax(a);
