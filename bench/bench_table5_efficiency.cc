@@ -15,11 +15,12 @@
 // can watch for gross regressions without paying full timing fidelity.
 //
 // `--ps-sweep` adds a `ps_sweep` section to the same JSON: the synchronous
-// data-parallel parameter-server step (sharded embedding store + sliced
-// gradient reduction + ShardedAdam) at vocab 1M over a train_workers x
-// embedding_shards grid. The JSON records hardware_concurrency because the
-// observed speedup is meaningless without it — on a 1-core container the
-// multi-worker rows measure pure orchestration overhead, not parallelism.
+// data-parallel parameter-server step (sliced gradient reduction
+// partitioned by the embedding store's row ownership + plain Adam) at
+// vocab 1M over a train_workers x embedding_shards grid. The JSON records
+// hardware_concurrency because the observed speedup is meaningless without
+// it — on a 1-core container the multi-worker rows measure pure
+// orchestration overhead, not parallelism.
 
 #include <algorithm>
 #include <atomic>
@@ -34,7 +35,6 @@
 #include "bench/bench_util.h"
 #include "src/nn/sharded_embedding.h"
 #include "src/optim/optimizer.h"
-#include "src/optim/sharded_adam.h"
 #include "src/serving/evaluator.h"
 #include "src/tensor/buffer_arena.h"
 #include "src/tensor/grad_delta.h"
@@ -87,10 +87,11 @@ double TimeTrainSteps(int64_t vocab, int mode_id, int warmup, int steps,
 // batch 512 split into 4 fixed micro-slices). Mirrors the trainer's sync
 // path: each worker replays its slices on a storage-aliased replica,
 // extracts sparse grad_rows deltas, and the reduction accumulates them in
-// slice order under the store's row-ownership partition before
-// ShardedAdam::Step. The slice grid is fixed, so every (workers, shards)
-// cell does identical arithmetic — the timing differences are pure
-// coordination cost (thread spawn, delta routing, shard-parallel apply).
+// slice order under the store's row-ownership partition, one thread per
+// shard, before one Adam::Step. The slice grid is fixed, so every
+// (workers, shards) cell does identical arithmetic — the timing
+// differences are pure coordination cost (thread spawn, delta routing,
+// shard-parallel reduction).
 double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
                         int warmup, int steps,
                         odnet::bench::LatencyHistogram* hist) {
@@ -107,8 +108,8 @@ double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
   std::vector<tensor::Tensor> params{table, w1, w2};
   nn::ShardedEmbeddingStore::Options opts;
   opts.num_shards = num_shards;
-  nn::ShardedEmbeddingStore store(params, opts);
-  optim::ShardedAdam opt(&store, 0.01);
+  const nn::ShardedEmbeddingStore store(params, opts);
+  optim::Adam opt(params, 0.01);
 
   const int gang = std::min(workers, kSlices);
   std::vector<std::vector<tensor::Tensor>> replicas(

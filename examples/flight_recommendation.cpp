@@ -27,9 +27,6 @@ int main(int argc, char** argv) {
                "data-parallel training workers (>1 enables the sharded "
                "parameter-server trainer, DESIGN.md section 14)");
   flags.AddInt("shards", 1, "embedding store shards for the trainer");
-  flags.AddString("ps-mode", "sync",
-                  "parameter-server consistency: sync (deterministic "
-                  "barrier) or async (hogwild, non-deterministic)");
   if (util::Status s = flags.Parse(argc, argv); !s.ok()) {
     std::fprintf(stderr, "%s\n%s", s.ToString().c_str(),
                  flags.Help().c_str());
@@ -48,9 +45,11 @@ int main(int argc, char** argv) {
   model_config.epochs = 3;
   model_config.train_workers = flags.GetInt("train-workers");
   model_config.embedding_shards = flags.GetInt("shards");
-  model_config.ps_mode = flags.GetString("ps-mode");
   baselines::OdnetRecommender odnet("ODNET", &atlas, model_config);
-  ODNET_CHECK(odnet.Fit(dataset).ok());
+  if (util::Status s = odnet.Fit(dataset); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
   baselines::MostPop most_pop;
   ODNET_CHECK(most_pop.Fit(dataset).ok());
 

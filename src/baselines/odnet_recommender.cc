@@ -17,6 +17,7 @@ OdnetRecommender::OdnetRecommender(std::string display_name,
 }
 
 util::Status OdnetRecommender::Fit(const data::OdDataset& dataset) {
+  ODNET_RETURN_NOT_OK(core::ValidateTrainConfig(config_));
   if (config_.use_hsgc) {
     hsg_ = core::BuildHsgFromDataset(dataset, *atlas_);
   }

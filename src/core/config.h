@@ -35,33 +35,25 @@ struct OdnetConfig {
   int64_t t_short = 5;   // kept short-term sequence length
   uint64_t seed = 1234;
 
-  // Data-parallel parameter-server training (DESIGN.md §14). With
-  // train_workers == 1 (default) the trainer runs the original
-  // single-threaded loop, bit for bit.
-  /// Number of data-parallel trainer workers, each running forward/backward
-  /// on its own batch slice against a storage-aliased model replica.
+  // Data-parallel parameter-server training (DESIGN.md §14), used when
+  // train_workers > 1. core::ValidateTrainConfig checks these fields.
+  /// Data-parallel trainer workers, each running forward/backward on batch
+  /// slices against a storage-aliased model replica.
   int64_t train_workers = 1;
-  /// Shard count of the ShardedEmbeddingStore the multi-worker trainer
-  /// builds over the model parameters. Never affects numerics in sync mode
-  /// (row updates are independent across rows); it only sets the apply
-  /// parallelism and lock granularity.
+  /// Row-ownership shards of the gradient reduction. Sets its parallelism
+  /// only, never the numerics.
   int64_t embedding_shards = 1;
-  /// "sync": barrier per step, gradients reduced in fixed slice order —
-  /// deterministic for any worker/shard count. "async": hogwild-style
-  /// per-shard apply queues drained concurrently with the next slices'
-  /// forward passes — documented non-deterministic.
+  /// Consistency mode; "sync" (barrier per step) is the only one.
   std::string ps_mode = "sync";
-  /// Fixed number of gradient micro-slices each batch is split into for
-  /// multi-worker training. The sync-mode digest depends on this grid (and
-  /// the seed), never on train_workers — workers only decide who computes
-  /// a slice, not what is computed.
+  /// Fixed micro-slices per batch. The result depends on this grid and the
+  /// seed, never on train_workers.
   int64_t train_grad_slices = 4;
 
   /// Optimizer treatment of row-sparse embedding gradients:
   /// "dense-equivalent" (default) — per-step cost scales with batch-distinct
   /// rows while staying bitwise identical to dense updates; "lazy" —
   /// untouched rows are skipped with deferred decay catch-up, an intentional
-  /// numerics change (DESIGN.md §9).
+  /// numerics change (DESIGN.md §9), single worker only.
   std::string sparse_embedding_updates = "dense-equivalent";
 };
 

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/nn/sharded_embedding.h"
-#include "src/optim/sharded_adam.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tensor/buffer_arena.h"
 #include "src/tensor/compute_context.h"
@@ -37,7 +33,46 @@ OdnetTrainer::OdnetTrainer(OdnetModel* model, const data::OdDataset* dataset,
   ODNET_CHECK(dataset != nullptr);
 }
 
+util::Status ValidateTrainConfig(const OdnetConfig& config) {
+  auto at_least_one = [](const char* name, int64_t value) {
+    return util::Status::InvalidArgument(std::string(name) +
+                                         " must be >= 1, got " +
+                                         std::to_string(value));
+  };
+  if (config.batch_size < 1) {
+    return at_least_one("batch_size", config.batch_size);
+  }
+  if (config.train_workers < 1) {
+    return at_least_one("train_workers", config.train_workers);
+  }
+  if (config.embedding_shards < 1) {
+    return at_least_one("embedding_shards", config.embedding_shards);
+  }
+  if (config.train_grad_slices < 1) {
+    return at_least_one("train_grad_slices", config.train_grad_slices);
+  }
+  if (config.ps_mode != "sync") {
+    return util::Status::InvalidArgument(
+        "ps_mode must be \"sync\", got \"" + config.ps_mode + "\"");
+  }
+  if (config.sparse_embedding_updates != "dense-equivalent" &&
+      config.sparse_embedding_updates != "lazy") {
+    return util::Status::InvalidArgument(
+        "sparse_embedding_updates must be \"dense-equivalent\" or "
+        "\"lazy\", got \"" +
+        config.sparse_embedding_updates + "\"");
+  }
+  if (config.sparse_embedding_updates == "lazy" && config.train_workers > 1) {
+    return util::Status::InvalidArgument(
+        "sparse_embedding_updates \"lazy\" needs train_workers == 1, got " +
+        std::to_string(config.train_workers));
+  }
+  return util::Status::OK();
+}
+
 TrainStats OdnetTrainer::Train() {
+  const util::Status valid = ValidateTrainConfig(model_->config());
+  ODNET_CHECK(valid.ok()) << valid.ToString();
   return model_->config().train_workers > 1 ? TrainDataParallel()
                                             : TrainSingleWorker();
 }
@@ -50,10 +85,6 @@ TrainStats OdnetTrainer::TrainSingleWorker() {
   optim::Adam optimizer(model_->Parameters(), config.learning_rate);
   if (config.sparse_embedding_updates == "lazy") {
     optimizer.set_sparse_update_mode(optim::SparseUpdateMode::kLazy);
-  } else {
-    ODNET_CHECK(config.sparse_embedding_updates == "dense-equivalent")
-        << "unknown sparse_embedding_updates mode: "
-        << config.sparse_embedding_updates;
   }
   model_->Train();
 
@@ -142,23 +173,11 @@ TrainStats OdnetTrainer::TrainSingleWorker() {
 namespace {
 
 /// One micro-slice's contribution: its mean loss, its sample count, and one
-/// GradDelta per parameter (Module::Parameters() order). In async mode the
-/// bundle additionally carries the micro-step stamp drawn at production
-/// time (bias correction happens at this stamp, however late the apply).
+/// GradDelta per parameter (Module::Parameters() order).
 struct SliceResult {
   double loss = 0.0;
   int64_t count = 0;
-  int64_t step = 0;
   std::vector<tensor::GradDelta> deltas;
-};
-
-/// One shard's async apply queue. Every produced bundle is enqueued to all
-/// shards; each applier folds only the rows its shard owns.
-struct ShardQueue {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::shared_ptr<SliceResult>> q;
-  bool done = false;
 };
 
 }  // namespace
@@ -167,41 +186,30 @@ TrainStats OdnetTrainer::TrainDataParallel() {
   const OdnetConfig& config = model_->config();
   ODNET_CHECK(replica_factory_ != nullptr)
       << "train_workers > 1 requires set_replica_factory()";
-  ODNET_CHECK(config.sparse_embedding_updates == "dense-equivalent")
-      << "data-parallel training supports dense-equivalent updates only";
-  const bool async = config.ps_mode == "async";
-  ODNET_CHECK(async || config.ps_mode == "sync")
-      << "unknown ps_mode: " << config.ps_mode;
   const int num_slices = static_cast<int>(config.train_grad_slices);
-  ODNET_CHECK_GT(num_slices, 0);
   // Workers beyond the slice count would never get a slice.
   const int gang =
       static_cast<int>(std::min<int64_t>(config.train_workers, num_slices));
-  const int num_shards =
-      std::max(1, static_cast<int>(config.embedding_shards));
+  const int num_shards = static_cast<int>(config.embedding_shards);
 
   util::Stopwatch watch;
   TrainStats stats;
   model_->Train();
 
-  // The parameter layer: the master's tensors fronted by the sharded store;
-  // optimizer slot state lives inside the store, packed per shard.
+  // The master's tensors, row-partitioned across shards for the gradient
+  // reduction and stepped by plain Adam.
   std::vector<tensor::Tensor> params = model_->Parameters();
   const size_t num_params = params.size();
   nn::ShardedEmbeddingStore::Options store_opts;
   store_opts.num_shards = num_shards;
-  nn::ShardedEmbeddingStore store(params, store_opts);
-  optim::ShardedAdam optimizer(&store, config.learning_rate);
+  const nn::ShardedEmbeddingStore store(params, store_opts);
+  optim::Adam optimizer(params, config.learning_rate);
 
   // Worker replicas: same architecture, parameter storage aliased onto the
-  // master's, so every forward reads the weights the appliers are updating;
-  // gradients (and tapes) stay private to the replica.
+  // master's, so every forward reads the master's weights; gradients (and
+  // tapes) stay private to the replica.
   std::vector<std::unique_ptr<OdnetModel>> replicas;
   std::vector<std::vector<tensor::Tensor>> replica_params;
-  // Optimizer handles over each replica's parameter list, used only for
-  // their deterministic ClipGradNorm (async workers clip locally; the
-  // server never materializes a combined gradient). Step() is never called.
-  std::vector<std::unique_ptr<optim::Sgd>> replica_clippers;
   for (int w = 0; w < gang; ++w) {
     replicas.push_back(replica_factory_());
     ODNET_CHECK(replicas.back() != nullptr);
@@ -210,8 +218,6 @@ TrainStats OdnetTrainer::TrainDataParallel() {
     replica_params.push_back(replicas.back()->Parameters());
     ODNET_CHECK_EQ(replica_params.back().size(), num_params)
         << "replica factory produced a different architecture";
-    replica_clippers.push_back(
-        std::make_unique<optim::Sgd>(replica_params.back(), 0.0));
   }
 
   std::vector<data::Sample> samples = dataset_->train_samples;
@@ -223,44 +229,6 @@ TrainStats OdnetTrainer::TrainDataParallel() {
       telemetry::TelemetryRegistry::Get().GetHistogram("train.step_ns");
   telemetry::Histogram* epoch_ns =
       telemetry::TelemetryRegistry::Get().GetHistogram("train.epoch_ns");
-  telemetry::Gauge* queue_depth =
-      telemetry::TelemetryRegistry::Get().GetGauge("trainer.shard.queue_depth");
-  telemetry::Histogram* staleness =
-      telemetry::TelemetryRegistry::Get().GetHistogram(
-          "trainer.shard.staleness");
-
-  // Async infrastructure: per-shard queues drained by one dedicated applier
-  // thread per shard, running for the whole training run (hogwild — applies
-  // overlap the next slices' forward passes). Staleness of a bundle is how
-  // many micro-steps were produced between its stamp and its apply.
-  std::atomic<int64_t> micro_step{0};
-  std::vector<ShardQueue> queues(static_cast<size_t>(num_shards));
-  std::vector<std::thread> appliers;
-  if (async) {
-    optimizer.MarkStateUnknown();
-    for (int s = 0; s < num_shards; ++s) {
-      appliers.emplace_back([&, s]() {
-        util::ThreadPool::WorkerMark mark;  // nested kernels stay serial
-        ShardQueue& sq = queues[static_cast<size_t>(s)];
-        for (;;) {
-          std::shared_ptr<SliceResult> item;
-          {
-            std::unique_lock<std::mutex> lk(sq.mu);
-            sq.cv.wait(lk, [&sq] { return sq.done || !sq.q.empty(); });
-            if (sq.q.empty()) return;  // done and drained
-            item = std::move(sq.q.front());
-            sq.q.pop_front();
-          }
-          queue_depth->Add(-1);
-          staleness->Record(micro_step.load(std::memory_order_relaxed) -
-                            item->step);
-          for (size_t p = 0; p < num_params; ++p) {
-            optimizer.ApplyDeltaShard(p, s, item->deltas[p], item->step);
-          }
-        }
-      });
-    }
-  }
 
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     telemetry::SpanScope epoch_span("Trainer.Epoch", "train");
@@ -275,7 +243,7 @@ TrainStats OdnetTrainer::TrainDataParallel() {
       const int64_t batch_count = end - start;
       // Fixed micro-slice grid: pure arithmetic in (start, end, G). Workers
       // only decide who computes a slice, never what a slice is — so the
-      // sync digest depends on train_grad_slices, not on train_workers.
+      // digest depends on train_grad_slices, not on train_workers.
       const int64_t per = (batch_count + num_slices - 1) / num_slices;
       telemetry::SpanScope step_span("Trainer.Step", "train");
       const int64_t step_start_ns =
@@ -300,7 +268,7 @@ TrainStats OdnetTrainer::TrainDataParallel() {
           replica->SeedSampleStreams(util::Rng::StreamSeed(
               config.seed, static_cast<uint64_t>(epoch),
               static_cast<uint64_t>(step_index), static_cast<uint64_t>(g)));
-          SliceResult r;
+          SliceResult& r = results[static_cast<size_t>(g)];
           {
             tensor::ArenaScope arena(tensor::BufferArena::ThreadLocal());
             tensor::Tensor loss = replica->Loss(batch);
@@ -309,31 +277,10 @@ TrainStats OdnetTrainer::TrainDataParallel() {
             r.loss = loss.item();
           }
           r.count = se - sb;
-          if (async) {
-            replica_clippers[static_cast<size_t>(w)]->ClipGradNorm(5.0);
-          }
           r.deltas.reserve(num_params);
           for (size_t p = 0; p < num_params; ++p) {
             r.deltas.push_back(tensor::ExtractGradDelta(
                 replica_params[static_cast<size_t>(w)][p]));
-          }
-          results[static_cast<size_t>(g)].loss = r.loss;
-          results[static_cast<size_t>(g)].count = r.count;
-          if (async) {
-            auto bundle = std::make_shared<SliceResult>(std::move(r));
-            bundle->step =
-                micro_step.fetch_add(1, std::memory_order_relaxed) + 1;
-            for (int s = 0; s < num_shards; ++s) {
-              ShardQueue& sq = queues[static_cast<size_t>(s)];
-              {
-                std::lock_guard<std::mutex> lk(sq.mu);
-                sq.q.push_back(bundle);
-              }
-              queue_depth->Add(1);
-              sq.cv.notify_one();
-            }
-          } else {
-            results[static_cast<size_t>(g)].deltas = std::move(r.deltas);
           }
         }
       };
@@ -346,47 +293,41 @@ TrainStats OdnetTrainer::TrainDataParallel() {
         for (std::thread& t : threads) t.join();
       }
 
-      if (!async) {
-        // Deterministic reduction: zero the master grad, merge the slices'
-        // sparsity metadata serially, then accumulate values shard-parallel
-        // — a shard only writes rows it owns, and every row sees its slice
-        // contributions in ascending slice order whatever the shard/thread
-        // count. Slice weights make the combined gradient the batch mean.
-        optimizer.ZeroGrad();
-        for (int g = 0; g < num_slices; ++g) {
-          if (results[static_cast<size_t>(g)].count == 0) continue;
-          for (size_t p = 0; p < num_params; ++p) {
-            tensor::MarkDeltaRows(params[p],
-                                  results[static_cast<size_t>(g)].deltas[p]);
-          }
+      // Deterministic reduction: zero the master grad, merge the slices'
+      // sparsity metadata serially, then accumulate values shard-parallel
+      // — a shard only writes rows it owns, and every row sees its slice
+      // contributions in ascending slice order whatever the shard/thread
+      // count. Slice weights make the combined gradient the batch mean.
+      optimizer.ZeroGrad();
+      for (const SliceResult& r : results) {
+        if (r.count == 0) continue;
+        for (size_t p = 0; p < num_params; ++p) {
+          tensor::MarkDeltaRows(params[p], r.deltas[p]);
         }
-        tensor::ComputeContext::Get().ParallelFor(
-            num_shards, 1, [&](int64_t s0, int64_t s1) {
-              for (int64_t s = s0; s < s1; ++s) {
-                for (size_t p = 0; p < num_params; ++p) {
-                  for (int g = 0; g < num_slices; ++g) {
-                    const SliceResult& r = results[static_cast<size_t>(g)];
-                    if (r.count == 0) continue;
-                    const float scale = static_cast<float>(r.count) /
-                                        static_cast<float>(batch_count);
-                    const size_t param = p;
-                    const int shard = static_cast<int>(s);
-                    tensor::AccumulateGradDeltaRows(
-                        params[p], r.deltas[p], scale,
-                        [&store, param, shard](int64_t row) {
-                          return store.Owns(param, shard, row);
-                        });
-                  }
+      }
+      tensor::ComputeContext::Get().ParallelFor(
+          num_shards, 1, [&](int64_t s0, int64_t s1) {
+            for (int64_t s = s0; s < s1; ++s) {
+              const int shard = static_cast<int>(s);
+              for (size_t p = 0; p < num_params; ++p) {
+                for (const SliceResult& r : results) {
+                  if (r.count == 0) continue;
+                  const float scale = static_cast<float>(r.count) /
+                                      static_cast<float>(batch_count);
+                  tensor::AccumulateGradDeltaRows(
+                      params[p], r.deltas[p], scale,
+                      [&store, p, shard](int64_t row) {
+                        return store.Owns(p, shard, row);
+                      });
                 }
               }
-            });
-        optimizer.ClipGradNorm(5.0);
-        optimizer.Step();
-      }
+            }
+          });
+      optimizer.ClipGradNorm(5.0);
+      optimizer.Step();
 
       double loss_value = 0.0;
-      for (int g = 0; g < num_slices; ++g) {
-        const SliceResult& r = results[static_cast<size_t>(g)];
+      for (const SliceResult& r : results) {
         if (r.count == 0) continue;
         loss_value += r.loss * (static_cast<double>(r.count) /
                                 static_cast<double>(batch_count));
@@ -406,20 +347,6 @@ TrainStats OdnetTrainer::TrainDataParallel() {
     stats.final_epoch_loss = epoch_loss;
     ODNET_LOG_DEBUG << "epoch " << epoch << " loss " << epoch_loss
                     << " theta " << model_->theta();
-  }
-
-  if (async) {
-    for (ShardQueue& sq : queues) {
-      {
-        std::lock_guard<std::mutex> lk(sq.mu);
-        sq.done = true;
-      }
-      sq.cv.notify_all();
-    }
-    for (std::thread& t : appliers) t.join();
-    // Micro-step stamps advanced past the sync-style counter; keep the
-    // optimizer's notion of time consistent with the applied updates.
-    optimizer.set_step_count(micro_step.load(std::memory_order_relaxed));
   }
 
   model_->Eval();

@@ -10,6 +10,7 @@
 #include "src/data/temporal_features.h"
 #include "src/data/types.h"
 #include "src/optim/optimizer.h"
+#include "src/util/status.h"
 
 namespace odnet {
 namespace core {
@@ -22,38 +23,33 @@ struct TrainStats {
   int64_t steps = 0;
 };
 
+/// InvalidArgument for a config the trainer cannot run: batch_size,
+/// train_workers, embedding_shards or train_grad_slices below 1, a ps_mode
+/// other than "sync", an unknown sparse_embedding_updates mode, or "lazy"
+/// updates with more than one worker.
+util::Status ValidateTrainConfig(const OdnetConfig& config);
+
 /// \brief Minibatch trainer for OdnetModel: shuffled epochs over the train
 /// samples, Adam (paper Sec. V-A-5), Eq. 8 loss.
 ///
-/// With config.train_workers == 1 (default) this is the original
-/// single-threaded loop, bit for bit. With train_workers > 1 it becomes a
-/// data-parallel parameter-server trainer (DESIGN.md §14): each batch is
-/// split into config.train_grad_slices fixed micro-slices, a gang of
-/// train_workers threads runs forward/backward on storage-aliased model
-/// replicas (one per worker; weights shared, gradients private), and the
-/// per-slice gradients are shipped as sparse tensor::GradDelta bundles to a
-/// ShardedEmbeddingStore whose shards apply them in parallel:
-///
-///   - ps_mode "sync": barrier per step; deltas are reduced onto the master
-///     gradient in fixed slice order and applied with one ShardedAdam step.
-///     The digest is a function of (config, seed, slice grid) only — the
-///     same for every train_workers and embedding_shards value.
-///   - ps_mode "async": hogwild-style; each slice's clipped delta is
-///     enqueued to per-shard apply queues drained by dedicated applier
-///     threads concurrently with the next slices' forward passes. Staleness
-///     and queue depth are exported as trainer.shard.* telemetry;
-///     numerically non-deterministic by design.
-///
-/// Multi-worker training requires a replica factory (set_replica_factory)
-/// and the "dense-equivalent" sparse update mode.
+/// With config.train_workers == 1 (default) this is the single-threaded
+/// loop. With train_workers > 1 it is a synchronous data-parallel
+/// parameter-server trainer (DESIGN.md §14): each batch is split into
+/// config.train_grad_slices fixed micro-slices, a gang of train_workers
+/// threads runs forward/backward on storage-aliased model replicas, the
+/// slices' gradients are reduced onto the master in slice order, one task
+/// per embedding shard, and one Adam step applies them. Its result depends
+/// on the config, seed and slice grid, not on train_workers or
+/// embedding_shards. Multi-worker training requires a replica factory
+/// (set_replica_factory).
 class OdnetTrainer {
  public:
   /// All pointers must outlive the trainer.
   OdnetTrainer(OdnetModel* model, const data::OdDataset* dataset,
                const data::TemporalFeatureIndex* temporal);
 
-  /// Runs config.epochs epochs; deterministic given the model config seed
-  /// (ps_mode "sync"; "async" is documented non-deterministic).
+  /// Runs config.epochs epochs; deterministic given the model config seed.
+  /// CHECK-fails on a config ValidateTrainConfig rejects.
   TrainStats Train();
 
   /// Factory for worker model replicas, required when train_workers > 1.
@@ -68,7 +64,7 @@ class OdnetTrainer {
   const data::BatchEncoder& encoder() const { return encoder_; }
 
  private:
-  /// The original single-threaded loop (train_workers == 1).
+  /// The single-threaded loop (train_workers == 1).
   TrainStats TrainSingleWorker();
   /// The data-parallel parameter-server loop (train_workers > 1).
   TrainStats TrainDataParallel();

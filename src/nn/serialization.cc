@@ -51,13 +51,6 @@ util::Result<uint64_t> ReadU64(FILE* file) {
 
 }  // namespace
 
-util::Status SaveParameters(const Module& module, const std::string& path,
-                            ShardedEmbeddingStore* store) {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  if (store != nullptr) locks = store->LockAllShards();
-  return SaveParameters(module, path);
-}
-
 util::Status SaveParameters(const Module& module, const std::string& path) {
   FILE* raw = std::fopen(path.c_str(), "wb");
   if (raw == nullptr) {

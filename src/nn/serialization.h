@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/nn/module.h"
-#include "src/nn/sharded_embedding.h"
 #include "src/util/status.h"
 
 namespace odnet {
@@ -17,15 +16,6 @@ namespace nn {
 /// matches parameters by name and requires identical shapes, so a
 /// checkpoint restores exactly the architecture that wrote it.
 util::Status SaveParameters(const Module& module, const std::string& path);
-
-/// Checkpointing while a sharded trainer may be applying updates: holds
-/// every shard lock of `store` (in order) for the duration of the write,
-/// so the snapshot can never observe a torn row — appliers mutate rows
-/// only under their owning shard's mutex (DESIGN.md §14). With a null
-/// store this is the plain SaveParameters. Not safe against async/hogwild
-/// CAS appliers, which bypass the shard mutexes by design.
-util::Status SaveParameters(const Module& module, const std::string& path,
-                            ShardedEmbeddingStore* store);
 
 /// Restores parameter values in place. Fails without partial writes when
 /// the file is malformed, a parameter is missing, or a shape differs.

@@ -18,7 +18,7 @@
 //
 // The file also carries the finite-difference cross-check (both backends
 // must match numeric derivatives, not just each other) and the fixed-seed
-// golden regression digest of a tiny end-to-end ODNET training run.
+// golden regression digests of tiny end-to-end ODNET training runs.
 
 #include <cmath>
 #include <cstdint>
@@ -1349,7 +1349,9 @@ TEST(DifferentialGradCheckTest, CompositeGraphsUnderBothBackends) {
 // the Table-3 metric block. The digest is (a) asserted thread-count
 // invariant — the determinism contract, environment-independent — and
 // (b) compared against the checked-in golden file, which pins the exact
-// training trajectory on the reference toolchain. Regenerate with
+// training trajectory on the reference toolchain. Two runs are pinned: the
+// single-worker loop and the synchronous parameter server (2 workers x 2
+// shards, DESIGN.md §14), whose trajectories differ. Regenerate with
 //   ODNET_UPDATE_GOLDEN=1 ctest -R Golden
 // after an intentional numerics change, and eyeball the metric drift.
 
@@ -1358,7 +1360,8 @@ struct GoldenEntry {
   double value = 0.0;
 };
 
-std::vector<GoldenEntry> ComputeTinyTrainDigest() {
+std::vector<GoldenEntry> ComputeTinyTrainDigest(int64_t train_workers,
+                                                int64_t embedding_shards) {
   data::FliggyConfig dc;
   dc.num_users = 120;
   dc.num_cities = 25;
@@ -1374,6 +1377,8 @@ std::vector<GoldenEntry> ComputeTinyTrainDigest() {
   mc.batch_size = 64;
   mc.epochs = 2;
   mc.seed = 13;
+  mc.train_workers = train_workers;
+  mc.embedding_shards = embedding_shards;
   baselines::OdnetRecommender odnet("ODNET-golden", &simulator.atlas(), mc);
   util::Status status = odnet.Fit(dataset);
   EXPECT_TRUE(status.ok()) << status.ToString();
@@ -1411,20 +1416,29 @@ std::vector<GoldenEntry> ComputeTinyTrainDigest() {
   return digest;
 }
 
+// One pinned training run: its golden file stem, the description written
+// into the file's header, and the trainer shape.
+struct GoldenRun {
+  const char* stem;
+  const char* what;
+  int64_t train_workers;
+  int64_t embedding_shards;
+};
+
 // The scalar tier runs the verbatim pre-SIMD loop bodies, so its digest is
 // pinned by the original golden file. Vector tiers route the exp family
 // through polynomial kernels and own per-capability golden files (the
 // digest is still asserted exactly thread-count invariant per tier —
 // the padded-tail design makes vector kernels pure per-element maps).
-std::string GoldenPathFor(CpuCapability cap) {
-  std::string path = std::string(ODNET_GOLDEN_DIR) + "/odnet_tiny_train_digest";
+std::string GoldenPathFor(const GoldenRun& run, CpuCapability cap) {
+  std::string path = std::string(ODNET_GOLDEN_DIR) + "/" + run.stem;
   if (cap != CpuCapability::kScalar) {
     path += std::string(".") + CpuCapabilityName(cap);
   }
   return path + ".txt";
 }
 
-TEST(GoldenTest, TinyTrainDigestMatchesGolden) {
+void ExpectTinyTrainDigestMatchesGolden(const GoldenRun& run) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
   ctx.SetParallelThreshold(1);
@@ -1434,16 +1448,19 @@ TEST(GoldenTest, TinyTrainDigestMatchesGolden) {
   // captures and discards its own plans within the scope).
   for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
     CpuCapabilityScope cap_scope(cap);
-    const std::string cap_tag = std::string(" [cap=") + CpuCapabilityName(cap) + "]";
+    const std::string cap_tag =
+        std::string(" [cap=") + CpuCapabilityName(cap) + "]";
 
     ctx.SetNumThreads(1);
-    std::vector<GoldenEntry> digest = ComputeTinyTrainDigest();
+    std::vector<GoldenEntry> digest =
+        ComputeTinyTrainDigest(run.train_workers, run.embedding_shards);
     ASSERT_FALSE(digest.empty());
 
     // Thread-count invariance first: the whole train + eval trajectory must
     // be exactly reproducible under a parallel pool, for every tier.
     ctx.SetNumThreads(8);
-    std::vector<GoldenEntry> digest8 = ComputeTinyTrainDigest();
+    std::vector<GoldenEntry> digest8 =
+        ComputeTinyTrainDigest(run.train_workers, run.embedding_shards);
     ASSERT_EQ(digest.size(), digest8.size());
     for (size_t i = 0; i < digest.size(); ++i) {
       EXPECT_EQ(digest[i].name, digest8[i].name);
@@ -1451,12 +1468,12 @@ TEST(GoldenTest, TinyTrainDigestMatchesGolden) {
           << digest[i].name << " differs between 1 and 8 threads" << cap_tag;
     }
 
-    const std::string golden_path = GoldenPathFor(cap);
+    const std::string golden_path = GoldenPathFor(run, cap);
     if (std::getenv("ODNET_UPDATE_GOLDEN") != nullptr) {
       std::ofstream out(golden_path);
       ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-      out << "# Golden digest of the tiny fixed-seed ODNET train run (cap="
-          << CpuCapabilityName(cap) << ").\n"
+      out << "# Golden digest of the " << run.what
+          << " (cap=" << CpuCapabilityName(cap) << ").\n"
           << "# Regenerate: ODNET_UPDATE_GOLDEN=1 ctest -R Golden\n";
       out.precision(17);
       for (const GoldenEntry& e : digest) {
@@ -1496,6 +1513,21 @@ TEST(GoldenTest, TinyTrainDigestMatchesGolden) {
   if (std::getenv("ODNET_UPDATE_GOLDEN") != nullptr) {
     GTEST_SKIP() << "golden files regenerated under " << ODNET_GOLDEN_DIR;
   }
+}
+
+TEST(GoldenTest, TinyTrainDigestMatchesGolden) {
+  ExpectTinyTrainDigestMatchesGolden(
+      {"odnet_tiny_train_digest", "tiny fixed-seed ODNET train run", 1, 1});
+}
+
+// The parameter-server path has its own trajectory (per-slice sampling
+// streams, slice-weighted gradient reduction), so it is pinned separately.
+TEST(GoldenTest, TinyPsTrainDigestMatchesGolden) {
+  ExpectTinyTrainDigestMatchesGolden(
+      {"odnet_tiny_ps_train_digest",
+       "tiny fixed-seed ODNET train run on the sync parameter server, 2 "
+       "workers x 2 shards",
+       2, 2});
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Concurrency stress tests, written to run under ThreadSanitizer
-// (-DODNET_SANITIZE=thread, ctest -L sanitizer). They hammer the three
+// (-DODNET_SANITIZE=thread, ctest -L sanitizer). They hammer the
 // places where threads meet shared state:
 //
 //  - util::ThreadPool: cross-thread Submit, nested fork-joins, exceptions
@@ -11,7 +11,9 @@
 //    reconfiguration;
 //  - serving::ServingRouter: concurrent submitters racing queue shutdown,
 //    admission-control shedding against a deterministically full queue, and
-//    TTL feature-cache expiry racing lookups.
+//    TTL feature-cache expiry racing lookups;
+//  - core::OdnetTrainer's data-parallel loop: gang workers on replicas
+//    sharing the master's weights, and the shard-parallel reduction.
 //
 // The tests also assert the determinism contract *while* the pool is being
 // resized under them: results must stay bitwise identical to a serial run.
@@ -32,11 +34,6 @@
 #include "src/baselines/odnet_recommender.h"
 #include "src/core/config.h"
 #include "src/data/fliggy_simulator.h"
-#include "src/nn/module.h"
-#include "src/nn/serialization.h"
-#include "src/nn/sharded_embedding.h"
-#include "src/optim/sharded_adam.h"
-#include "src/tensor/grad_delta.h"
 #include "src/serving/batch_scorer.h"
 #include "src/serving/feature_cache.h"
 #include "src/serving/ranking_service.h"
@@ -432,16 +429,24 @@ TEST(ServingRouterStressTest, SubmittersRacingShutdown) {
   std::atomic<int64_t> refused{0};
   std::atomic<int64_t> failed{0};
   std::atomic<int64_t> unexpected{0};
+  std::atomic<bool> shut_down{false};
   std::thread shutdown_thread([&] {
     while (submitted.load() < kThreads * kPerThread / 2) {
       std::this_thread::yield();
     }
     router.Shutdown();
+    shut_down.store(true);
   });
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
+        // Each thread's last submission waits for Shutdown() to return, so
+        // some submissions follow it however the shutdown thread is
+        // scheduled; the others race it.
+        if (i == kPerThread - 1) {
+          while (!shut_down.load()) std::this_thread::yield();
+        }
         const int64_t user = (t * kPerThread + i) % fixture.dataset.num_users;
         std::future<serving::TopKResult> future = router.SubmitTopK(user, 5);
         submitted.fetch_add(1);
@@ -575,102 +580,13 @@ TEST(TtlCacheStressTest, ExpiryRacingLookups) {
   EXPECT_LE(cache.size(), options.capacity);
 }
 
-// ------------------------------------------- Sharded parameter server --
-
-// Minimal module shape for checkpoint-vs-apply races: one row-sharded
-// table, one whole-param bias.
-class ShardedCheckpointModule : public nn::Module {
- public:
-  ShardedCheckpointModule() {
-    table_ = RegisterParameter(
-        "table", Tensor::FromVector({64, 8}, std::vector<float>(512, 0.25f),
-                                    /*requires_grad=*/true));
-    bias_ = RegisterParameter(
-        "bias", Tensor::FromVector({8}, std::vector<float>(8, 0.5f),
-                                   /*requires_grad=*/true));
-  }
-
-  tensor::Tensor table_;
-  tensor::Tensor bias_;
-};
-
-TEST(ShardedStoreStressTest, ShardAppliesRacingCheckpointSnapshot) {
-  // The checkpoint snapshot contract (DESIGN.md §14): SaveParameters with a
-  // store holds every shard mutex, and appliers mutate rows only under
-  // their owning shard's mutex — so concurrent applies and snapshots are
-  // race-free and no snapshot can observe a torn row.
-  ShardedCheckpointModule module;
-  nn::ShardedEmbeddingStore::Options opts;
-  opts.num_shards = 4;
-  nn::ShardedEmbeddingStore store(module.Parameters(), opts);
-  optim::ShardedAdam opt(&store, 0.01);
-
-  tensor::GradDelta table_delta;
-  table_delta.row_sparse = true;
-  table_delta.width = 8;
-  for (int64_t r = 0; r < 64; ++r) table_delta.rows.push_back(r);
-  table_delta.values.assign(512, 0.01f);
-  tensor::GradDelta bias_delta;
-  bias_delta.values.assign(8, 0.01f);
-
-  std::vector<std::thread> appliers;
-  for (int s = 0; s < 4; ++s) {
-    appliers.emplace_back([&opt, &table_delta, &bias_delta, s]() {
-      for (int64_t step = 1; step <= 200; ++step) {
-        opt.ApplyDeltaShard(0, s, table_delta, step);
-        opt.ApplyDeltaShard(1, s, bias_delta, step);
-      }
-    });
-  }
-  const std::string path =
-      testing::TempDir() + "/sharded_ckpt_race.bin";
-  for (int i = 0; i < 25; ++i) {
-    util::Status st = nn::SaveParameters(module, path, &store);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  }
-  for (std::thread& t : appliers) t.join();
-
-  ShardedCheckpointModule restored;
-  util::Status st = nn::LoadParameters(&restored, path);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  for (float v : restored.table_.vec()) ASSERT_TRUE(std::isfinite(v));
-}
-
-TEST(ShardedStoreStressTest, CasRowAppliesConcurrentExactlyOnce) {
-  // The lock-free SGD path: per-element CAS on the float bits. With
-  // integer-valued floats every subtraction is exact, so exactly-once
-  // delivery shows up as an exact final value under any interleaving.
-  constexpr int64_t kRows = 16;
-  constexpr int64_t kWidth = 4;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 50;
-  Tensor table = Tensor::FromVector(
-      {kRows, kWidth}, std::vector<float>(kRows * kWidth, 0.0f));
-  nn::ShardedEmbeddingStore::Options opts;
-  opts.num_shards = 2;
-  nn::ShardedEmbeddingStore store({table}, opts);
-  const std::vector<float> g(kWidth, 1.0f);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, &g]() {
-      for (int i = 0; i < kIters; ++i) {
-        for (int64_t row = 0; row < kRows; ++row) {
-          store.ApplySgdRowCas(0, row, g.data(), 1.0f);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (float v : table.vec()) {
-    EXPECT_EQ(v, -static_cast<float>(kThreads * kIters));
-  }
-}
+// ------------------------------------------ Data-parallel trainer --
 
 TEST(DataParallelTrainerStressTest, SyncTrainingIsRaceFree) {
-  // End-to-end sync-mode data-parallel training: gang workers with private
-  // gradient replicas, slice-order reduction, shard-parallel Adam applies.
-  // Everything is either thread-private, behind a barrier, or under a
-  // shard mutex — this must be TSan-clean.
+  // End-to-end data-parallel training: gang workers with private gradient
+  // replicas, then a slice-order reduction in which each shard task writes
+  // only the rows it owns, then one Adam step. Everything is either
+  // thread-private or behind the per-step join — this must be TSan-clean.
   data::FliggyConfig dc;
   dc.num_users = 40;
   dc.num_cities = 12;

@@ -4,19 +4,15 @@
 // The contract under test, in increasing integration order:
 //   - GradDelta extraction/accumulation partitions a gradient exactly once
 //     under any row-ownership split;
-//   - ShardedAdam / ShardedAdaGrad are bitwise identical to the plain
-//     optimizers for every shard count (sync mode);
-//   - the lock-free CAS SGD row apply loses no update under contention;
-//   - the end-to-end sync training digest is a function of the config and
-//     seed only — the same bits for every train_workers and
-//     embedding_shards combination;
-//   - async/hogwild mode trains to a finite loss (numerics intentionally
-//     unasserted: non-deterministic by design).
+//   - ShardedAdam is bitwise identical to plain Adam for every shard count;
+//   - the end-to-end training digest is a function of the config and seed
+//     only — the same bits for every train_workers and embedding_shards
+//     combination;
+//   - a config the trainer cannot run is rejected with InvalidArgument
+//     before anything is built.
 
-#include <cmath>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,18 +24,9 @@
 #include "src/nn/sharded_embedding.h"
 #include "src/optim/optimizer.h"
 #include "src/optim/sharded_adam.h"
-#include "src/telemetry/telemetry.h"
 #include "src/tensor/grad_delta.h"
 #include "src/tensor/tensor.h"
-#include "src/util/rng.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define ODNET_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ODNET_TSAN 1
-#endif
-#endif
+#include "src/util/status.h"
 
 namespace odnet {
 namespace {
@@ -144,9 +131,6 @@ TEST(ShardedEmbeddingStoreTest, OwnershipPartitionsRowsExactlyOnce) {
   nn::ShardedEmbeddingStore store({table, bias}, opts);
   EXPECT_TRUE(store.row_sharded(0));
   EXPECT_FALSE(store.row_sharded(1));
-  int64_t owned_total = 0;
-  for (int s = 0; s < 4; ++s) owned_total += store.OwnedRows(0, s);
-  EXPECT_EQ(owned_total, 32);
   for (int64_t row = 0; row < 32; ++row) {
     int owners = 0;
     for (int s = 0; s < 4; ++s) owners += store.Owns(0, s, row) ? 1 : 0;
@@ -160,38 +144,8 @@ TEST(ShardedEmbeddingStoreTest, OwnershipPartitionsRowsExactlyOnce) {
   }
 }
 
-TEST(ShardedEmbeddingStoreTest, CasRowApplyConcurrentLosesNoUpdate) {
-  // Integer-valued floats: every subtraction is exact, so exactly-once
-  // delivery is observable as an exact final value regardless of the
-  // interleaving.
-  constexpr int64_t kRows = 8;
-  constexpr int64_t kWidth = 4;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 100;
-  Tensor table = Tensor::FromVector(
-      {kRows, kWidth}, std::vector<float>(kRows * kWidth, 0.0f));
-  nn::ShardedEmbeddingStore::Options opts;
-  opts.num_shards = 2;
-  nn::ShardedEmbeddingStore store({table}, opts);
-  const std::vector<float> g(kWidth, 1.0f);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&]() {
-      for (int i = 0; i < kIters; ++i) {
-        for (int64_t row = 0; row < kRows; ++row) {
-          store.ApplySgdRowCas(0, row, g.data(), 1.0f);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (float v : table.vec()) {
-    EXPECT_EQ(v, -static_cast<float>(kThreads * kIters));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// ShardedAdam / ShardedAdaGrad vs the plain optimizers, bitwise.
+// ShardedAdam vs plain Adam, bitwise.
 
 std::vector<Tensor> MakeOptParams() {
   auto fill = [](int64_t n, float phase) {
@@ -216,7 +170,7 @@ std::vector<Tensor> MakeOptParams() {
 
 // Per-step gradient schedule exercising the dense-equivalent bookkeeping:
 // fresh rows, decaying rows, a dense step that invalidates the active set,
-// a sparse step that forces the packed-slot rescan, and an all-decay step.
+// a sparse step that forces the active-set rescan, and an all-decay step.
 void ApplyStepGrads(const std::vector<Tensor>& params, int step) {
   switch (step) {
     case 0:
@@ -260,32 +214,6 @@ TEST(ShardedAdamTest, BitwiseMatchesPlainAdamForEveryShardCount) {
         ExpectBitwiseEqual(ref_params[i].vec(), sharded_params[i].vec(),
                            "shards=" + std::to_string(num_shards) + " step=" +
                                std::to_string(step) + " param=" +
-                               std::to_string(i));
-      }
-    }
-  }
-}
-
-TEST(ShardedAdaGradTest, BitwiseMatchesPlainAdaGradForEveryShardCount) {
-  for (int num_shards : {1, 3}) {
-    std::vector<Tensor> ref_params = MakeOptParams();
-    std::vector<Tensor> sharded_params = MakeOptParams();
-    optim::AdaGrad ref(ref_params, 0.05);
-    nn::ShardedEmbeddingStore::Options opts;
-    opts.num_shards = num_shards;
-    nn::ShardedEmbeddingStore store(sharded_params, opts);
-    optim::ShardedAdaGrad sharded(&store, 0.05);
-    for (int step = 0; step < 3; ++step) {
-      for (Tensor& p : ref_params) p.ZeroGrad();
-      for (Tensor& p : sharded_params) p.ZeroGrad();
-      ApplyStepGrads(ref_params, step);
-      ApplyStepGrads(sharded_params, step);
-      ref.Step();
-      sharded.Step();
-      for (size_t i = 0; i < ref_params.size(); ++i) {
-        ExpectBitwiseEqual(ref_params[i].vec(), sharded_params[i].vec(),
-                           "adagrad shards=" + std::to_string(num_shards) +
-                               " step=" + std::to_string(step) + " param=" +
                                std::to_string(i));
       }
     }
@@ -368,45 +296,87 @@ TEST(DataParallelTrainerTest, SingleWorkerDispatchIgnoresShardKnobs) {
   core::OdnetConfig mc = TinyTrainConfig();
   mc.train_workers = 1;
   mc.embedding_shards = 8;
-  mc.ps_mode = "async";
   mc.train_grad_slices = 16;
   ExpectSameTrainedParams(reference, TrainedParams(mc),
                           "single-worker dispatch");
 }
 
-TEST(DataParallelTrainerTest, SyncTrainingRecordsShardTelemetry) {
-  auto* rows_applied = telemetry::TelemetryRegistry::Get().GetCounter(
-      "trainer.shard.rows_applied");
-  const int64_t before = rows_applied->Value();
-  core::OdnetConfig mc = TinyTrainConfig();
-  mc.train_workers = 2;
-  mc.embedding_shards = 2;
-  mc.epochs = 1;
-  double loss = 0.0;
-  TrainedParams(mc, &loss);
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(rows_applied->Value(), before);
+// ---------------------------------------------------------------------------
+// Config validation: each rejected value fails Fit with InvalidArgument
+// before anything is built.
+
+void ExpectFitRejects(const core::OdnetConfig& mc, const std::string& what) {
+  data::FliggyConfig dc;
+  dc.num_users = 20;
+  dc.num_cities = 10;
+  dc.seed = 7;
+  data::FliggySimulator simulator(dc);
+  data::OdDataset dataset = simulator.Generate();
+  EXPECT_EQ(core::ValidateTrainConfig(mc).code(),
+            util::StatusCode::kInvalidArgument)
+      << what;
+  baselines::OdnetRecommender odnet("ODNET-invalid", &simulator.atlas(), mc);
+  const util::Status status = odnet.Fit(dataset);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(odnet.model(), nullptr) << what;
 }
 
-TEST(DataParallelTrainerTest, AsyncModeTrainsToFiniteLoss) {
-#ifdef ODNET_TSAN
-  GTEST_SKIP() << "hogwild-mode weight reads race applier writes by design";
-#else
+TEST(TrainConfigValidationTest, AcceptsTheDefaultsAndTheParameterServer) {
+  core::OdnetConfig mc;
+  EXPECT_TRUE(core::ValidateTrainConfig(mc).ok());
+  mc.train_workers = 4;
+  mc.embedding_shards = 3;
+  EXPECT_TRUE(core::ValidateTrainConfig(mc).ok());
+  mc.train_workers = 1;
+  mc.sparse_embedding_updates = "lazy";
+  EXPECT_TRUE(core::ValidateTrainConfig(mc).ok());
+}
+
+TEST(TrainConfigValidationTest, RejectsPsModeOtherThanSync) {
   core::OdnetConfig mc = TinyTrainConfig();
   mc.train_workers = 2;
-  mc.embedding_shards = 2;
-  mc.ps_mode = "async";
-  double loss = 0.0;
-  const auto params = TrainedParams(mc, &loss);
-  ASSERT_FALSE(params.empty());
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(loss, 0.0);
-  for (const auto& [name, values] : params) {
-    for (float v : values) {
-      ASSERT_TRUE(std::isfinite(v)) << name;
-    }
-  }
-#endif
+  mc.ps_mode = "stale";
+  ExpectFitRejects(mc, "ps_mode");
+}
+
+TEST(TrainConfigValidationTest, RejectsZeroEmbeddingShards) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.train_workers = 2;
+  mc.embedding_shards = 0;
+  ExpectFitRejects(mc, "embedding_shards");
+}
+
+TEST(TrainConfigValidationTest, RejectsZeroTrainWorkers) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.train_workers = 0;
+  ExpectFitRejects(mc, "train_workers");
+}
+
+TEST(TrainConfigValidationTest, RejectsZeroGradSlices) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.train_grad_slices = 0;
+  ExpectFitRejects(mc, "train_grad_slices");
+}
+
+TEST(TrainConfigValidationTest, RejectsUnknownSparseUpdateMode) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.sparse_embedding_updates = "eager";
+  ExpectFitRejects(mc, "sparse_embedding_updates");
+}
+
+TEST(TrainConfigValidationTest, RejectsLazyUpdatesWithSeveralWorkers) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.train_workers = 2;
+  mc.sparse_embedding_updates = "lazy";
+  ExpectFitRejects(mc, "lazy");
+}
+
+TEST(TrainConfigValidationTest, RejectsZeroBatchSize) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.batch_size = 0;
+  ExpectFitRejects(mc, "batch_size");
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ prefix PREFIX asserts some complete span name starts with PREFIX (used for
 span families whose exact names vary, e.g. any "ServingRouter." span);
 --require-counter-prefix PREFIX asserts at least one counter whose name
 starts with PREFIX has a positive value (used for metric families such as
-the data-parallel trainer's "trainer.shard." counters).
+the router's "serving.router." counters).
 
 Usage:
   tools/validate_trace.py trace.json \
