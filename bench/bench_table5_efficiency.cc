@@ -9,18 +9,19 @@
 
 // `--train-step-sweep` instead runs the embedding-vocab scaling sweep:
 // per-train-step time for vocab in {1k, 10k, 100k} under the forced-dense
-// (pre-sparse) optimizer path, the default dense-equivalent sparse path,
-// and the lazy sparse path, written machine-readably to
-// BENCH_train_step.json. ODNET_BENCH_SMOKE=1 shrinks the step counts so CI
-// can watch for gross regressions without paying full timing fidelity.
+// (pre-sparse) optimizer path and the default dense-equivalent sparse path,
+// written machine-readably to BENCH_train_step.json. ODNET_BENCH_SMOKE=1
+// shrinks the step counts so CI can watch for gross regressions without
+// paying full timing fidelity.
 //
 // `--ps-sweep` adds a `ps_sweep` section to the same JSON: the synchronous
 // data-parallel parameter-server step (sliced gradient reduction
 // partitioned by the embedding store's row ownership + plain Adam) at
-// vocab 1M over a train_workers x embedding_shards grid. The JSON records
-// hardware_concurrency because the observed speedup is meaningless without
-// it — on a 1-core container the multi-worker rows measure pure
-// orchestration overhead, not parallelism.
+// vocab 1M over a train_workers x embedding_shards grid, each cell the
+// median of 5 fresh repetitions. The JSON records the core count and CPU
+// tier because the observed speedup is meaningless without them — on a
+// 1-core container the multi-worker rows measure pure orchestration
+// overhead, not parallelism.
 
 #include <algorithm>
 #include <atomic>
@@ -37,6 +38,8 @@
 #include "src/optim/optimizer.h"
 #include "src/serving/evaluator.h"
 #include "src/tensor/buffer_arena.h"
+#include "src/tensor/compute_context.h"
+#include "src/tensor/cpu_capability.h"
 #include "src/tensor/grad_delta.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
@@ -51,7 +54,7 @@ namespace {
 // ZeroGrad / Backward / ClipGradNorm / Adam::Step sequence the real
 // trainer runs. Returns the mean microseconds per step; per-step samples
 // land in `hist` for the percentile columns.
-double TimeTrainSteps(int64_t vocab, int mode_id, int warmup, int steps,
+double TimeTrainSteps(int64_t vocab, bool force_dense, int warmup, int steps,
                       odnet::bench::LatencyHistogram* hist) {
   using namespace odnet;
   const int64_t dim = 16;
@@ -63,8 +66,7 @@ double TimeTrainSteps(int64_t vocab, int mode_id, int warmup, int steps,
   tensor::Tensor w1 = tensor::Tensor::Randn({dim, hidden}, &rng, 0.05f, true);
   tensor::Tensor w2 = tensor::Tensor::Randn({hidden, 1}, &rng, 0.05f, true);
   optim::Adam opt({table, w1, w2}, 0.01);
-  if (mode_id == 0) opt.set_force_dense(true);
-  if (mode_id == 2) opt.set_sparse_update_mode(optim::SparseUpdateMode::kLazy);
+  opt.set_force_dense(force_dense);
   util::Rng idx_rng(777);  // identical index stream for every mode
   auto step = [&]() {
     std::vector<int64_t> indices(static_cast<size_t>(batch));
@@ -87,11 +89,11 @@ double TimeTrainSteps(int64_t vocab, int mode_id, int warmup, int steps,
 // batch 512 split into 4 fixed micro-slices). Mirrors the trainer's sync
 // path: each worker replays its slices on a storage-aliased replica,
 // extracts sparse grad_rows deltas, and the reduction accumulates them in
-// slice order under the store's row-ownership partition, one thread per
-// shard, before one Adam::Step. The slice grid is fixed, so every
-// (workers, shards) cell does identical arithmetic — the timing
-// differences are pure coordination cost (thread spawn, delta routing,
-// shard-parallel reduction).
+// slice order under the store's row-ownership partition, one pool task per
+// shard (the trainer's ComputeContext::ParallelFor), before one Adam::Step.
+// The slice grid is fixed, so every (workers, shards) cell does identical
+// arithmetic — the timing differences are pure coordination cost (thread
+// spawn, delta routing, shard-parallel reduction).
 double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
                         int warmup, int steps,
                         odnet::bench::LatencyHistogram* hist) {
@@ -173,21 +175,21 @@ double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
       }
     }
     const float scale = 1.0f / static_cast<float>(kSlices);
-    std::vector<std::thread> appliers;
-    appliers.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      appliers.emplace_back([&, s]() {
-        util::ThreadPool::WorkerMark mark;
-        for (size_t p = 0; p < params.size(); ++p) {
-          for (int g = 0; g < kSlices; ++g) {
-            tensor::AccumulateGradDeltaRows(
-                params[p], slice_deltas[g][p], scale,
-                [&store, p, s](int64_t row) { return store.Owns(p, s, row); });
+    tensor::ComputeContext::Get().ParallelFor(
+        num_shards, 1, [&](int64_t s0, int64_t s1) {
+          for (int64_t s = s0; s < s1; ++s) {
+            const int shard = static_cast<int>(s);
+            for (size_t p = 0; p < params.size(); ++p) {
+              for (int g = 0; g < kSlices; ++g) {
+                tensor::AccumulateGradDeltaRows(
+                    params[p], slice_deltas[g][p], scale,
+                    [&store, p, shard](int64_t row) {
+                      return store.Owns(p, shard, row);
+                    });
+              }
+            }
           }
-        }
-      });
-    }
-    for (std::thread& t : appliers) t.join();
+        });
     opt.ClipGradNorm(5.0);
     opt.Step();
   };
@@ -195,50 +197,73 @@ double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
   return odnet::bench::TimedRoundUs(step, steps, hist);
 }
 
-// Returns the `ps_sweep` JSON object (and prints the human table). Smoke
-// mode shrinks vocab and step counts so CI regenerates the section in
-// seconds; the committed full-fidelity file uses vocab 1M.
+// Returns the `ps_sweep` JSON object (and prints the human table). Each
+// cell is the median over `reps` repetitions, each a fresh table, replicas
+// and optimizer running warmup + `steps` steps; the min and max land next
+// to it. A longer run is no substitute: the dense-equivalent decay work
+// grows with the rows ever touched, so more steps measure a different
+// regime. Smoke mode shrinks vocab, steps and repetitions so CI regenerates
+// the section in seconds; the committed full-fidelity file uses vocab 1M.
 std::string RunPsSweep(bool smoke) {
   using namespace odnet;
   const int warmup = smoke ? 1 : 3;
   const int steps = smoke ? 3 : 30;
+  const int reps = smoke ? 1 : 5;
   const int64_t vocab = smoke ? 100000 : 1000000;
   const int worker_grid[] = {1, 2, 4};
   const int shard_grid[] = {1, 4};
-  const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf(
-      "\n=== PS train-step sweep (vocab %lld, batch 512, dim 16, %d steps, "
-      "%u cores%s) ===\n",
-      static_cast<long long>(vocab), steps, cores, smoke ? ", smoke" : "");
+      "\n=== PS train-step sweep (vocab %lld, batch 512, dim 16, median of "
+      "%d x %d steps%s) ===\n",
+      static_cast<long long>(vocab), reps, steps, smoke ? ", smoke" : "");
   util::AsciiTable table(
-      {"Workers", "Shards", "us/step", "Speedup vs 1 worker"});
+      {"Workers", "Shards", "us/step", "min-max", "Speedup vs 1 worker"});
   std::string json = "{\n    \"vocab\": " + std::to_string(vocab) +
                      ",\n    \"batch\": 512,\n    \"dim\": 16,\n    "
-                     "\"slices\": 4,\n    \"cores\": " +
-                     std::to_string(cores) + ",\n    \"results\": [\n";
-  bool first = true;
+                     "\"slices\": 4,\n    \"steps\": " +
+                     std::to_string(steps) + ",\n    \"repetitions\": " +
+                     std::to_string(reps) + ",\n    \"results\": [\n";
+  struct Cell {
+    int workers;
+    int shards;
+    std::vector<double> rep_us;
+    bench::LatencyHistogram hist;
+  };
+  std::vector<Cell> cells;
   for (int shards : shard_grid) {
-    double one_worker_us = 0.0;
-    for (int workers : worker_grid) {
-      bench::LatencyHistogram hist;
-      const double us =
-          TimePsTrainSteps(vocab, workers, shards, warmup, steps, &hist);
-      if (workers == 1) one_worker_us = us;
-      const double speedup = us > 0.0 ? one_worker_us / us : 0.0;
-      table.AddRow({std::to_string(workers), std::to_string(shards),
-                    util::FormatFixed(us, 1),
-                    util::FormatFixed(speedup, 2) + "x"});
-      if (!first) json += ",\n";
-      first = false;
-      json += "      {\"workers\": " + std::to_string(workers) +
-              ", \"shards\": " + std::to_string(shards) +
-              ", \"us_per_step\": " + util::FormatFixed(us, 2) +
-              ", \"speedup_vs_one_worker\": " + util::FormatFixed(speedup, 3) +
-              ", " + hist.JsonFields() + "}";
-      std::printf("finished workers=%d shards=%d\n", workers, shards);
-      std::fflush(stdout);
+    for (int workers : worker_grid) cells.push_back({workers, shards, {}, {}});
+  }
+  // Repetitions run round-robin over the cells, so a slow stretch of a
+  // shared machine lands on every cell instead of on one.
+  for (int r = 0; r < reps; ++r) {
+    for (Cell& c : cells) {
+      c.rep_us.push_back(TimePsTrainSteps(vocab, c.workers, c.shards, warmup,
+                                          steps, &c.hist));
     }
+    std::printf("finished repetition %d of %d\n", r + 1, reps);
+    std::fflush(stdout);
+  }
+  double one_worker_us = 0.0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    Cell& c = cells[i];
+    std::sort(c.rep_us.begin(), c.rep_us.end());
+    const double us = c.rep_us[c.rep_us.size() / 2];
+    if (c.workers == 1) one_worker_us = us;
+    const double speedup = us > 0.0 ? one_worker_us / us : 0.0;
+    table.AddRow({std::to_string(c.workers), std::to_string(c.shards),
+                  util::FormatFixed(us, 1),
+                  util::FormatFixed(c.rep_us.front(), 0) + "-" +
+                      util::FormatFixed(c.rep_us.back(), 0),
+                  util::FormatFixed(speedup, 2) + "x"});
+    if (i > 0) json += ",\n";
+    json += "      {\"workers\": " + std::to_string(c.workers) +
+            ", \"shards\": " + std::to_string(c.shards) +
+            ", \"us_per_step\": " + util::FormatFixed(us, 2) +
+            ", \"us_per_step_min\": " + util::FormatFixed(c.rep_us.front(), 2) +
+            ", \"us_per_step_max\": " + util::FormatFixed(c.rep_us.back(), 2) +
+            ", \"speedup_vs_one_worker\": " + util::FormatFixed(speedup, 3) +
+            ", " + c.hist.JsonFields() + "}";
   }
   json += "\n    ]\n  }";
   std::printf("\n");
@@ -252,22 +277,32 @@ int RunTrainStepSweep(bool with_ps_sweep) {
   const int warmup = smoke ? 1 : 5;
   const int steps = smoke ? 3 : 100;
   const int64_t vocabs[] = {1000, 10000, 100000};
-  const char* mode_names[] = {"dense", "dense-equivalent", "lazy"};
+  // Mode 0 forces the dense (pre-sparse) optimizer path; mode 1 is the
+  // default row-sparse path, bitwise identical to it.
+  const char* mode_names[] = {"dense", "dense-equivalent"};
+  const unsigned cores = std::thread::hardware_concurrency();
+  const char* cpu_tier =
+      tensor::CpuCapabilityName(tensor::ActiveCpuCapability());
 
   std::printf(
-      "=== Train-step embedding sweep (batch 128, dim 16, %d steps%s) ===\n",
-      steps, smoke ? ", smoke" : "");
+      "=== Train-step embedding sweep (batch 128, dim 16, %d steps, %u "
+      "cores, %s%s) ===\n",
+      steps, cores, cpu_tier, smoke ? ", smoke" : "");
   util::AsciiTable table({"Vocab", "Mode", "us/step", "Speedup vs dense"});
   std::string json = "{\n  \"bench\": \"train_step\",\n  \"smoke\": ";
   json += smoke ? "true" : "false";
+  json += ",\n  \"cores\": " + std::to_string(cores) +
+          ",\n  \"cpu_capability\": \"" + cpu_tier + "\"";
   json += ",\n  \"batch\": 128,\n  \"dim\": 16,\n  \"steps\": " +
           std::to_string(steps) + ",\n  \"results\": [\n";
   bool first = true;
   for (int64_t vocab : vocabs) {
     double dense_us = 0.0;
-    for (int mode = 0; mode < 3; ++mode) {
+    for (int mode = 0; mode < 2; ++mode) {
       bench::LatencyHistogram hist;
-      const double us = TimeTrainSteps(vocab, mode, warmup, steps, &hist);
+      const double us =
+          TimeTrainSteps(vocab, /*force_dense=*/mode == 0, warmup, steps,
+                         &hist);
       if (mode == 0) dense_us = us;
       const double speedup = us > 0.0 ? dense_us / us : 0.0;
       table.AddRow({std::to_string(vocab), mode_names[mode],

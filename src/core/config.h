@@ -48,13 +48,6 @@ struct OdnetConfig {
   /// Fixed micro-slices per batch. The result depends on this grid and the
   /// seed, never on train_workers.
   int64_t train_grad_slices = 4;
-
-  /// Optimizer treatment of row-sparse embedding gradients:
-  /// "dense-equivalent" (default) — per-step cost scales with batch-distinct
-  /// rows while staying bitwise identical to dense updates; "lazy" —
-  /// untouched rows are skipped with deferred decay catch-up, an intentional
-  /// numerics change (DESIGN.md §9), single worker only.
-  std::string sparse_embedding_updates = "dense-equivalent";
 };
 
 }  // namespace core

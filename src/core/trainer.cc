@@ -39,6 +39,9 @@ util::Status ValidateTrainConfig(const OdnetConfig& config) {
                                          " must be >= 1, got " +
                                          std::to_string(value));
   };
+  if (config.epochs < 1) {
+    return at_least_one("epochs", config.epochs);
+  }
   if (config.batch_size < 1) {
     return at_least_one("batch_size", config.batch_size);
   }
@@ -54,18 +57,6 @@ util::Status ValidateTrainConfig(const OdnetConfig& config) {
   if (config.ps_mode != "sync") {
     return util::Status::InvalidArgument(
         "ps_mode must be \"sync\", got \"" + config.ps_mode + "\"");
-  }
-  if (config.sparse_embedding_updates != "dense-equivalent" &&
-      config.sparse_embedding_updates != "lazy") {
-    return util::Status::InvalidArgument(
-        "sparse_embedding_updates must be \"dense-equivalent\" or "
-        "\"lazy\", got \"" +
-        config.sparse_embedding_updates + "\"");
-  }
-  if (config.sparse_embedding_updates == "lazy" && config.train_workers > 1) {
-    return util::Status::InvalidArgument(
-        "sparse_embedding_updates \"lazy\" needs train_workers == 1, got " +
-        std::to_string(config.train_workers));
   }
   return util::Status::OK();
 }
@@ -83,9 +74,6 @@ TrainStats OdnetTrainer::TrainSingleWorker() {
   TrainStats stats;
 
   optim::Adam optimizer(model_->Parameters(), config.learning_rate);
-  if (config.sparse_embedding_updates == "lazy") {
-    optimizer.set_sparse_update_mode(optim::SparseUpdateMode::kLazy);
-  }
   model_->Train();
 
   // A shuffled copy so sample order is independent of generator order.

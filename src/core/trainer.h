@@ -23,10 +23,9 @@ struct TrainStats {
   int64_t steps = 0;
 };
 
-/// InvalidArgument for a config the trainer cannot run: batch_size,
-/// train_workers, embedding_shards or train_grad_slices below 1, a ps_mode
-/// other than "sync", an unknown sparse_embedding_updates mode, or "lazy"
-/// updates with more than one worker.
+/// InvalidArgument for a config the trainer cannot run: epochs, batch_size,
+/// train_workers, embedding_shards or train_grad_slices below 1, or a
+/// ps_mode other than "sync".
 util::Status ValidateTrainConfig(const OdnetConfig& config);
 
 /// \brief Minibatch trainer for OdnetModel: shuffled epochs over the train

@@ -18,6 +18,11 @@ namespace simd = tensor::simd;
 
 tensor::ComputeContext& Ctx() { return tensor::ComputeContext::Get(); }
 
+// Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
 // Fixed chunk grid for the ClipGradNorm partial-sum reduction. Boundaries
 // depend only on each parameter's shape — never on the thread count or on
 // gradient sparsity — so the per-chunk partial sums (and therefore the
@@ -42,15 +47,14 @@ bool RowExactlyPositiveZero(const float* row, int64_t width) {
 }
 
 // Rebuilds the active-row set after a dense step: a row is active when any
-// element of either state buffer is not exactly +0.0f.
+// element of m or v is not exactly +0.0f.
 std::vector<int64_t> ScanActiveRows(int64_t vocab, int64_t width,
-                                    const float* s1, const float* s2) {
+                                    const float* m, const float* v) {
   std::vector<uint8_t> flags(static_cast<size_t>(vocab), 0);
   Ctx().ParallelFor(vocab, Ctx().GrainFor(width), [&](int64_t rb, int64_t re) {
     for (int64_t r = rb; r < re; ++r) {
-      const bool zero =
-          RowExactlyPositiveZero(s1 + r * width, width) &&
-          (s2 == nullptr || RowExactlyPositiveZero(s2 + r * width, width));
+      const bool zero = RowExactlyPositiveZero(m + r * width, width) &&
+                        RowExactlyPositiveZero(v + r * width, width);
       flags[static_cast<size_t>(r)] = zero ? 0 : 1;
     }
   });
@@ -91,22 +95,30 @@ void ParallelOverRows(const std::vector<int64_t>& rows, int64_t width,
 
 }  // namespace
 
-Optimizer::Optimizer(std::vector<tensor::Tensor> params)
-    : params_(std::move(params)) {
-  for (const tensor::Tensor& p : params_) {
+Adam::Adam(std::vector<tensor::Tensor> params, double lr)
+    : params_(std::move(params)),
+      learning_rate_(lr),
+      m_(params_.size()),
+      v_(params_.size()),
+      active_rows_(params_.size()),
+      dense_state_(params_.size(), 0) {
+  for (size_t i = 0; i < params_.size(); ++i) {
+    const tensor::Tensor& p = params_[i];
     ODNET_CHECK(p.defined());
     ODNET_CHECK(p.requires_grad()) << "optimizer parameter without grad";
+    m_[i].assign(static_cast<size_t>(p.numel()), 0.0f);
+    v_[i].assign(static_cast<size_t>(p.numel()), 0.0f);
   }
 }
 
-bool Optimizer::RowSparseGrad(size_t i) const {
+bool Adam::RowSparseGrad(size_t i) const {
   if (force_dense_) return false;
   const TensorImpl* impl = params_[i].impl();
   return impl->grad_rows_valid && impl->shape.size() == 2 &&
          impl->grad.size() == impl->data().size();
 }
 
-void Optimizer::ZeroGrad() {
+void Adam::ZeroGrad() {
   for (tensor::Tensor& p : params_) {
     if (force_dense_) {
       TensorImpl* impl = p.impl();
@@ -119,7 +131,7 @@ void Optimizer::ZeroGrad() {
   }
 }
 
-double Optimizer::ClipGradNorm(double max_norm) {
+double Adam::ClipGradNorm(double max_norm) {
   ODNET_CHECK_GT(max_norm, 0.0);
   // Build the fixed chunk grid (row-aligned for rank-2 params so the
   // sparse path can skip whole untouched rows inside a chunk — the skipped
@@ -208,133 +220,15 @@ double Optimizer::ClipGradNorm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<tensor::Tensor> params, double lr, double momentum)
-    : Optimizer(std::move(params)), momentum_(0.0) {
-  learning_rate_ = lr;
-  set_momentum(momentum);
-}
-
-void Sgd::set_momentum(double momentum) {
-  if (momentum != 0.0 && velocity_.empty()) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      velocity_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
-    }
-    active_rows_.assign(params_.size(), {});
-    dense_state_.assign(params_.size(), 0);
-  } else if (momentum == 0.0) {
-    velocity_.clear();
-    active_rows_.clear();
-    dense_state_.clear();
-  }
-  momentum_ = momentum;
-}
-
-void Sgd::Step() {
-  const float lr = static_cast<float>(learning_rate_);
-  const bool with_momentum = momentum_ != 0.0;
-  if (with_momentum) {
-    ODNET_CHECK_EQ(velocity_.size(), params_.size())
-        << "Sgd momentum enabled without velocity state; reconfigure via "
-           "set_momentum";
-  }
-  const float mu = static_cast<float>(momentum_);
-  for (size_t i = 0; i < params_.size(); ++i) {
-    tensor::Tensor& p = params_[i];
-    TensorImpl* impl = p.impl();
-    impl->EnsureGrad();
-    const float* g = impl->grad.data();
-    float* data = p.mutable_data();
-    const int64_t n = static_cast<int64_t>(impl->grad.size());
-
-    const simd::KernelTable& kt = simd::Kernels();
-    if (!RowSparseGrad(i)) {
-      if (!with_momentum) {
-        Ctx().ParallelFor(n, Ctx().GrainFor(2), [&](int64_t b, int64_t e) {
-          kt.sgd_row(data + b, g + b, lr, e - b);
-        });
-      } else {
-        float* vel = velocity_[i].data();
-        Ctx().ParallelFor(n, Ctx().GrainFor(4), [&](int64_t b, int64_t e) {
-          kt.sgd_momentum_row(data + b, vel + b, g + b, lr, mu, e - b);
-        });
-        if (impl->shape.size() == 2) {
-          dense_state_[i] = 1;
-          active_rows_[i].clear();
-        }
-      }
-      continue;
-    }
-
-    const int64_t width = impl->shape[1];
-    const std::vector<int64_t>& touched = impl->grad_rows;
-    if (!with_momentum) {
-      // Untouched rows see exactly `data -= lr * (+0.0)`: a no-op.
-      ParallelOverRows(touched, width * 2, [&](int64_t r) {
-        const int64_t row = touched[static_cast<size_t>(r)];
-        kt.sgd_row(data + row * width, g + row * width, lr, width);
-      });
-      continue;
-    }
-
-    float* vel = velocity_[i].data();
-    if (dense_state_[i]) {
-      active_rows_[i] =
-          ScanActiveRows(impl->shape[0], width, vel, /*s2=*/nullptr);
-      dense_state_[i] = 0;
-    }
-    // Touched rows: the full dense row update.
-    ParallelOverRows(touched, width * 4, [&](int64_t r) {
-      const int64_t row = touched[static_cast<size_t>(r)];
-      kt.sgd_momentum_row(data + row * width, vel + row * width,
-                          g + row * width, lr, mu, width);
-    });
-    // Active-but-untouched rows: the dense update with g == +0.0 spelled
-    // out term by term (`mu * v + 0.0f`), so the bits match the dense loop
-    // exactly; rows whose velocity decays to all +0.0 drop out of the set.
-    std::vector<int64_t> decay_rows = SortedDifference(active_rows_[i], touched);
-    std::vector<uint8_t> still_active(decay_rows.size(), 0);
-    ParallelOverRows(decay_rows, width * 4, [&](int64_t r) {
-      const int64_t row = decay_rows[static_cast<size_t>(r)];
-      float* vrow = vel + row * width;
-      kt.sgd_momentum_row(data + row * width, vrow, /*g=*/nullptr, lr, mu,
-                          width);
-      still_active[static_cast<size_t>(r)] =
-          RowExactlyPositiveZero(vrow, width) ? 0 : 1;
-    });
-    std::vector<int64_t> kept;
-    kept.reserve(decay_rows.size());
-    for (size_t r = 0; r < decay_rows.size(); ++r) {
-      if (still_active[r]) kept.push_back(decay_rows[r]);
-    }
-    active_rows_[i] = SortedUnion(kept, touched);
-  }
-}
-
-Adam::Adam(std::vector<tensor::Tensor> params, double lr, double beta1,
-           double beta2, double eps)
-    : Optimizer(std::move(params)), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  learning_rate_ = lr;
-  m_.resize(params_.size());
-  v_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    m_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
-    v_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
-  }
-  active_rows_.assign(params_.size(), {});
-  dense_state_.assign(params_.size(), 0);
-  last_step_.resize(params_.size());
-}
-
 void Adam::Step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   const float lr_t =
       static_cast<float>(learning_rate_ * std::sqrt(bias2) / bias1);
-  const float b1 = static_cast<float>(beta1_);
-  const float b2 = static_cast<float>(beta2_);
-  const float eps = static_cast<float>(eps_);
+  const float b1 = static_cast<float>(kBeta1);
+  const float b2 = static_cast<float>(kBeta2);
+  const float eps = static_cast<float>(kEps);
   for (size_t i = 0; i < params_.size(); ++i) {
     tensor::Tensor& p = params_[i];
     TensorImpl* impl = p.impl();
@@ -353,9 +247,6 @@ void Adam::Step() {
       if (impl->shape.size() == 2) {
         dense_state_[i] = 1;
         active_rows_[i].clear();
-        if (mode_ == SparseUpdateMode::kLazy && !last_step_[i].empty()) {
-          last_step_[i].assign(last_step_[i].size(), t_);
-        }
       }
       continue;
     }
@@ -364,40 +255,10 @@ void Adam::Step() {
     const int64_t width = impl->shape[1];
     const std::vector<int64_t>& touched = impl->grad_rows;
 
-    if (mode_ == SparseUpdateMode::kLazy) {
-      // Rows not touched this step are skipped outright; their missed
-      // decay is applied as a catch-up multiplier when next touched. The
-      // active-row set is not maintained here, so flag it unknown — a
-      // later switch to dense-equivalent mode rescans instead of trusting
-      // a stale set.
-      dense_state_[i] = 1;
-      std::vector<int64_t>& last = last_step_[i];
-      if (last.empty()) last.assign(static_cast<size_t>(vocab), t_ - 1);
-      ParallelOverRows(touched, width * 8, [&](int64_t r) {
-        const int64_t row = touched[static_cast<size_t>(r)];
-        const float* grow = g + row * width;
-        float* mrow = m + row * width;
-        float* vrow = v + row * width;
-        float* drow = data + row * width;
-        const int64_t missed = t_ - 1 - last[static_cast<size_t>(row)];
-        if (missed > 0) {
-          const float mdecay =
-              static_cast<float>(std::pow(beta1_, static_cast<double>(missed)));
-          const float vdecay =
-              static_cast<float>(std::pow(beta2_, static_cast<double>(missed)));
-          kt.scale(mrow, mdecay, width);
-          kt.scale(vrow, vdecay, width);
-        }
-        kt.adam_row(drow, mrow, vrow, grow, lr_t, b1, b2, eps, width);
-        last[static_cast<size_t>(row)] = t_;
-      });
-      continue;
-    }
-
-    // Dense-equivalent: touched rows take the full update; active rows
-    // (nonzero m/v) still decay with the gradient term spelled out as an
-    // exact +0.0 so the bits match the dense loop; everything else is an
-    // exact no-op and is skipped.
+    // Touched rows take the full update; active rows (nonzero m/v) still
+    // decay with the gradient term spelled out as an exact +0.0 so the bits
+    // match the dense loop; everything else is an exact no-op and is
+    // skipped.
     if (dense_state_[i]) {
       active_rows_[i] = ScanActiveRows(vocab, width, m, v);
       dense_state_[i] = 0;
@@ -428,61 +289,6 @@ void Adam::Step() {
     }
     active_rows_[i] = SortedUnion(kept, touched);
   }
-}
-
-AdaGrad::AdaGrad(std::vector<tensor::Tensor> params, double lr, double eps)
-    : Optimizer(std::move(params)), eps_(eps) {
-  learning_rate_ = lr;
-  accum_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    accum_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
-  }
-}
-
-void AdaGrad::Step() {
-  const float lr = static_cast<float>(learning_rate_);
-  const float eps = static_cast<float>(eps_);
-  for (size_t i = 0; i < params_.size(); ++i) {
-    tensor::Tensor& p = params_[i];
-    TensorImpl* impl = p.impl();
-    impl->EnsureGrad();
-    const float* g = impl->grad.data();
-    float* data = p.mutable_data();
-    float* acc = accum_[i].data();
-    const int64_t n = static_cast<int64_t>(impl->grad.size());
-    const simd::AdaGradRowFn row_fn = simd::Kernels().adagrad_row;
-    if (RowSparseGrad(i)) {
-      // Untouched rows add an exact +0.0 to a never-negative accumulator
-      // and subtract an exact +0.0 from the weights: skipping is always
-      // bitwise neutral, no active set needed.
-      const int64_t width = impl->shape[1];
-      const std::vector<int64_t>& touched = impl->grad_rows;
-      ParallelOverRows(touched, width * 6, [&](int64_t r) {
-        const int64_t row = touched[static_cast<size_t>(r)];
-        row_fn(data + row * width, acc + row * width, g + row * width, lr,
-               eps, width);
-      });
-      continue;
-    }
-    Ctx().ParallelFor(n, Ctx().GrainFor(6), [&](int64_t b, int64_t e) {
-      row_fn(data + b, acc + b, g + b, lr, eps, e - b);
-    });
-  }
-}
-
-ExponentialDecay::ExponentialDecay(double initial_lr, double decay_rate,
-                                   int64_t decay_steps)
-    : initial_lr_(initial_lr),
-      decay_rate_(decay_rate),
-      decay_steps_(decay_steps) {
-  ODNET_CHECK_GT(decay_steps, 0);
-  ODNET_CHECK_GT(decay_rate, 0.0);
-}
-
-double ExponentialDecay::At(int64_t step) const {
-  return initial_lr_ *
-         std::pow(decay_rate_, static_cast<double>(step) /
-                                   static_cast<double>(decay_steps_));
 }
 
 }  // namespace optim

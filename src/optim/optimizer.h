@@ -9,34 +9,24 @@
 namespace odnet {
 namespace optim {
 
-/// How Step() treats parameters whose gradient carries a touched-row list
-/// (embedding tables written only by EmbeddingLookup backward — see
-/// tensor::internal::TensorImpl::grad_rows).
-enum class SparseUpdateMode {
-  /// Default. Per-step cost scales with touched/active rows, but every
-  /// update is bitwise identical to the dense loops: untouched-row state
-  /// decay (Adam m/v, SGD velocity) is still applied, restricted to the
-  /// rows whose state is nonzero, and rows with no gradient and no state
-  /// are skipped outright (their dense update is an exact no-op).
-  kDenseEquivalent,
-  /// Untouched rows are skipped entirely; Adam applies the missed m/v decay
-  /// as a catch-up multiplier the next time a row is touched, with bias
-  /// correction at the then-current step count. An intentional numerics
-  /// change (DESIGN.md §9). Adam-only; other optimizers treat this as
-  /// kDenseEquivalent. Select before the first Step().
-  kLazy,
-};
-
-/// \brief Base interface for first-order optimizers over a fixed parameter
-/// list. Step() consumes the accumulated gradients; callers zero grads
-/// between steps (Module::ZeroGrad).
-class Optimizer {
+/// \brief Adam (Kingma & Ba) over a fixed parameter list, with β1 = 0.9,
+/// β2 = 0.999 and ε = 1e-8. The paper trains every model with Adam, batch
+/// size 128, lr 0.01 (Sec. V-A-5). Step() consumes the accumulated
+/// gradients; callers zero grads between steps.
+///
+/// A parameter whose gradient carries a touched-row list (an embedding table
+/// written only by EmbeddingLookup backward — see
+/// tensor::internal::TensorImpl::grad_rows) is stepped row-sparsely: touched
+/// rows take the full update, rows whose m/v are still nonzero take the
+/// decay-only update, and all other rows are skipped, because their dense
+/// update is an exact no-op. Every update is bitwise identical to the dense
+/// loop (DESIGN.md §9).
+class Adam {
  public:
-  explicit Optimizer(std::vector<tensor::Tensor> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<tensor::Tensor> params, double lr);
 
   /// Applies one update using each parameter's current grad buffer.
-  virtual void Step() = 0;
+  void Step();
 
   void ZeroGrad();
 
@@ -47,100 +37,28 @@ class Optimizer {
   /// dense gradients.
   double ClipGradNorm(double max_norm);
 
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
-  double learning_rate() const { return learning_rate_; }
-
-  void set_sparse_update_mode(SparseUpdateMode mode) { mode_ = mode; }
-  SparseUpdateMode sparse_update_mode() const { return mode_; }
-
   /// Benchmark/testing escape hatch: ignore touched-row metadata and run
   /// the dense code paths everywhere (the pre-sparse behaviour, including
   /// full-buffer ZeroGrad).
   void set_force_dense(bool value) { force_dense_ = value; }
-  bool force_dense() const { return force_dense_; }
 
-  int64_t num_params() const { return static_cast<int64_t>(params_.size()); }
-
- protected:
+ private:
   /// True when params_[i]'s gradient is row-sparse and eligible for the
   /// sparse update paths.
   bool RowSparseGrad(size_t i) const;
 
   std::vector<tensor::Tensor> params_;
-  double learning_rate_ = 0.01;  // paper's setting (Sec. V-A-5)
-  SparseUpdateMode mode_ = SparseUpdateMode::kDenseEquivalent;
+  double learning_rate_;
   bool force_dense_ = false;
-};
-
-/// \brief Stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<tensor::Tensor> params, double lr, double momentum = 0.0);
-  void Step() override;
-
-  /// Reconfigures momentum between steps: turning it on (from 0) allocates
-  /// fresh zero velocity state, turning it off discards the state. Step()
-  /// CHECKs the state is consistent, so reuse paths that bypass this
-  /// accessor fail loudly instead of indexing a missing buffer.
-  void set_momentum(double momentum);
-  double momentum() const { return momentum_; }
-
- private:
-  double momentum_;
-  std::vector<std::vector<float>> velocity_;
-  // Sparse bookkeeping for momentum state (see Adam for the scheme).
-  std::vector<std::vector<int64_t>> active_rows_;
-  std::vector<uint8_t> dense_state_;
-};
-
-/// \brief Adam (Kingma & Ba). The paper trains every model with Adam,
-/// batch size 128, lr 0.01.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<tensor::Tensor> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8);
-  void Step() override;
-
- private:
-  double beta1_;
-  double beta2_;
-  double eps_;
   int64_t t_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
   // Rows of m_/v_ that may hold nonzeros (sorted ascending), tracked per
-  // rank-2 parameter so dense-equivalent mode decays only those rows.
+  // rank-2 parameter so the sparse step decays only those rows.
   // dense_state_[i] means the set is unknown (a dense step ran); the next
   // sparse step rebuilds it with one scan.
   std::vector<std::vector<int64_t>> active_rows_;
   std::vector<uint8_t> dense_state_;
-  // kLazy only: per-row step count after whose update the row's m/v are
-  // current; sized on a parameter's first sparse step.
-  std::vector<std::vector<int64_t>> last_step_;
-};
-
-/// \brief AdaGrad, kept for optimizer ablations.
-class AdaGrad : public Optimizer {
- public:
-  AdaGrad(std::vector<tensor::Tensor> params, double lr, double eps = 1e-10);
-  void Step() override;
-
- private:
-  double eps_;
-  std::vector<std::vector<float>> accum_;
-};
-
-/// \brief Exponential learning-rate decay helper: lr_t = lr0 * rate^(t/steps).
-class ExponentialDecay {
- public:
-  ExponentialDecay(double initial_lr, double decay_rate, int64_t decay_steps);
-  /// Learning rate after `step` updates.
-  double At(int64_t step) const;
-
- private:
-  double initial_lr_;
-  double decay_rate_;
-  int64_t decay_steps_;
 };
 
 }  // namespace optim

@@ -157,27 +157,6 @@ void SoftmaxBwdRow(const float* g, const float* y, float* dx, int64_t cols) {
   for (int64_t c = 0; c < cols; ++c) dx[c] += (g[c] - dot) * y[c];
 }
 
-void SgdRow(float* w, const float* g, float lr, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) w[j] -= lr * g[j];
-}
-
-void SgdMomentumRow(float* w, float* v, const float* g, float lr, float mu,
-                    int64_t n) {
-  if (g == nullptr) {
-    // Decay-only row: the gradient contribution is exactly +0.0f, matching
-    // the dense path's arithmetic on an untouched row.
-    for (int64_t j = 0; j < n; ++j) {
-      v[j] = mu * v[j] + 0.0f;
-      w[j] -= lr * v[j];
-    }
-    return;
-  }
-  for (int64_t j = 0; j < n; ++j) {
-    v[j] = mu * v[j] + g[j];
-    w[j] -= lr * v[j];
-  }
-}
-
 void AdamRow(float* w, float* m, float* v, const float* g, float lr_t,
              float b1, float b2, float eps, int64_t n) {
   if (g == nullptr) {
@@ -195,14 +174,6 @@ void AdamRow(float* w, float* m, float* v, const float* g, float lr_t,
   }
 }
 
-void AdaGradRow(float* w, float* acc, const float* g, float lr, float eps,
-                int64_t n) {
-  for (int64_t j = 0; j < n; ++j) {
-    acc[j] += g[j] * g[j];
-    w[j] -= lr * g[j] / (std::sqrt(acc[j]) + eps);
-  }
-}
-
 }  // namespace scalar
 
 namespace {
@@ -216,8 +187,7 @@ namespace {
          ns::ExpBwd, ns::AddScalarBwd, ns::MulScalarBwd},               \
         ns::MulAccum, ns::DivBwdA, ns::DivBwdB, ns::MatMulRow,          \
         ns::MatMulDbRow, ns::AddInto, ns::Scale, ns::SoftmaxRow,        \
-        ns::SoftmaxBwdRow, ns::SgdRow, ns::SgdMomentumRow, ns::AdamRow, \
-        ns::AdaGradRow, narrow                                          \
+        ns::SoftmaxBwdRow, ns::AdamRow, narrow                          \
   }
 // `width` is the tier's lane count (kW in simd_vec_kernels.inc).
 #define ODNET_SIMD_NARROW(ns, width)                                    \

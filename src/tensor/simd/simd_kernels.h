@@ -98,20 +98,11 @@ using SoftmaxRowsNarrowFn = void (*)(const float* x, float* y, int64_t rows,
                                      int64_t cols);
 using SoftmaxBwdRowsNarrowFn = void (*)(const float* g, const float* y,
                                         float* dx, int64_t rows, int64_t cols);
-// w[j] -= lr * g[j]
-using SgdRowFn = void (*)(float* w, const float* g, float lr, int64_t n);
-// v[j] = mu * v[j] + g[j]; w[j] -= lr * v[j].  g == nullptr means a decay
-// row: g[j] is +0.0f (matches the scalar lazy-momentum path exactly).
-using SgdMomentumRowFn = void (*)(float* w, float* v, const float* g, float lr,
-                                  float mu, int64_t n);
 // m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; w -= lr_t * m / (sqrt(v)+eps).
 // g == nullptr means a decay row (g[j] treated as +0.0f).
 using AdamRowFn = void (*)(float* w, float* m, float* v, const float* g,
                            float lr_t, float b1, float b2, float eps,
                            int64_t n);
-// acc += g*g; w -= lr * g / (sqrt(acc) + eps).
-using AdaGradRowFn = void (*)(float* w, float* acc, const float* g, float lr,
-                              float eps, int64_t n);
 
 // Narrow-row kernels (DESIGN.md §11): for rows narrower than one vector they
 // put `width` rows in the lanes, one vector per column, and give each
@@ -138,10 +129,7 @@ struct KernelTable {
   ScaleFn scale;
   SoftmaxRowFn softmax_row;
   SoftmaxBwdRowFn softmax_bwd_row;
-  SgdRowFn sgd_row;
-  SgdMomentumRowFn sgd_momentum_row;
   AdamRowFn adam_row;
-  AdaGradRowFn adagrad_row;
   NarrowKernels narrow;
 };
 
@@ -208,13 +196,8 @@ CpuCapability MaxCompiledCpuCapability();
                          int64_t cols);                                       \
   void SoftmaxBwdRowsNarrow(const float* g, const float* y, float* dx,        \
                             int64_t rows, int64_t cols);                      \
-  void SgdRow(float* w, const float* g, float lr, int64_t n);                 \
-  void SgdMomentumRow(float* w, float* v, const float* g, float lr, float mu, \
-                      int64_t n);                                             \
   void AdamRow(float* w, float* m, float* v, const float* g, float lr_t,      \
                float b1, float b2, float eps, int64_t n);                     \
-  void AdaGradRow(float* w, float* acc, const float* g, float lr, float eps,  \
-                  int64_t n);                                                 \
   }  // namespace ns
 
 #if defined(ODNET_HAVE_AVX2_KERNELS)

@@ -426,13 +426,11 @@ TEST(DifferentialOpTest, EmbeddingLookupDuplicateHeavy) {
 // for stretches. Pure function of its inputs, so the sparse path (default)
 // must reproduce the forced-dense pre-sparse path bit for bit at every
 // (threads, threshold) point and under the reference backend.
-std::vector<float> RunEmbeddingTrainLoop(bool force_dense,
-                                         optim::SparseUpdateMode mode) {
+std::vector<float> RunEmbeddingTrainLoop(bool force_dense) {
   util::Rng rng(97531);
   Tensor table = testing::RandomTensor({12, 3}, &rng, true);
   Tensor w = testing::RandomTensor({3, 1}, &rng, true);
   optim::Adam opt({table, w}, 0.05);
-  opt.set_sparse_update_mode(mode);
   opt.set_force_dense(force_dense);
   std::vector<float> out;
   for (int step = 0; step < 6; ++step) {
@@ -460,8 +458,7 @@ TEST(DifferentialTrainStepTest, SparseAdamMatchesDenseAcrossThreads) {
   // Oracle: the pre-sparse dense path, serial. The whole loop (embedding
   // lookup, matmul, Mul/Sum loss, clip, Adam) is built from bitwise-tier
   // kernels, so every capability tier must reproduce it exactly.
-  const std::vector<float> oracle = RunEmbeddingTrainLoop(
-      /*force_dense=*/true, optim::SparseUpdateMode::kDenseEquivalent);
+  const std::vector<float> oracle = RunEmbeddingTrainLoop(/*force_dense=*/true);
   for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
     CpuCapabilityScope cap_scope(cap);
     for (int threads : {1, 2, 8}) {
@@ -471,14 +468,10 @@ TEST(DifferentialTrainStepTest, SparseAdamMatchesDenseAcrossThreads) {
         const std::string tag = std::string(" [cap=") + CpuCapabilityName(cap) +
                                 " threads=" + std::to_string(threads) +
                                 " threshold=" + std::to_string(threshold) + "]";
-        testing::ExpectUlpClose(
-            RunEmbeddingTrainLoop(false,
-                                  optim::SparseUpdateMode::kDenseEquivalent),
-            oracle, /*max_ulps=*/0, "TrainStep/sparse" + tag);
-        testing::ExpectUlpClose(
-            RunEmbeddingTrainLoop(true,
-                                  optim::SparseUpdateMode::kDenseEquivalent),
-            oracle, /*max_ulps=*/0, "TrainStep/dense" + tag);
+        testing::ExpectUlpClose(RunEmbeddingTrainLoop(false), oracle,
+                                /*max_ulps=*/0, "TrainStep/sparse" + tag);
+        testing::ExpectUlpClose(RunEmbeddingTrainLoop(true), oracle,
+                                /*max_ulps=*/0, "TrainStep/dense" + tag);
       }
     }
   }
@@ -489,10 +482,8 @@ TEST(DifferentialTrainStepTest, SparseAdamMatchesDenseAcrossThreads) {
     BackendGuard reference(Backend::kReference);
     ctx.SetNumThreads(1);
     ctx.SetParallelThreshold(16384);
-    testing::ExpectUlpClose(
-        RunEmbeddingTrainLoop(false,
-                              optim::SparseUpdateMode::kDenseEquivalent),
-        oracle, /*max_ulps=*/0, "TrainStep/reference");
+    testing::ExpectUlpClose(RunEmbeddingTrainLoop(false), oracle,
+                            /*max_ulps=*/0, "TrainStep/reference");
   }
 }
 

@@ -14,13 +14,13 @@ namespace {
 
 using tensor::Tensor;
 
-// Minimizes f(x) = sum((x - target)^2) and returns the final x values.
-template <typename OptimizerT, typename... Args>
-std::vector<float> MinimizeQuadratic(int steps, Args&&... args) {
+// Minimizes f(x) = sum((x - target)^2) with Adam and returns the final x
+// values.
+std::vector<float> MinimizeQuadratic(int steps, double lr) {
   Tensor x = Tensor::FromVector({3}, {5.0f, -4.0f, 2.0f},
                                 /*requires_grad=*/true);
   Tensor target = Tensor::FromVector({3}, {1.0f, 2.0f, -1.0f});
-  OptimizerT opt({x}, std::forward<Args>(args)...);
+  Adam opt({x}, lr);
   for (int i = 0; i < steps; ++i) {
     Tensor diff = tensor::Sub(x, target);
     Tensor loss = tensor::Sum(tensor::Mul(diff, diff));
@@ -31,42 +31,11 @@ std::vector<float> MinimizeQuadratic(int steps, Args&&... args) {
   return x.vec();
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  auto x = MinimizeQuadratic<Sgd>(200, 0.05);
-  EXPECT_NEAR(x[0], 1.0f, 1e-3f);
-  EXPECT_NEAR(x[1], 2.0f, 1e-3f);
-  EXPECT_NEAR(x[2], -1.0f, 1e-3f);
-}
-
-TEST(SgdTest, MomentumConvergesFaster) {
-  auto plain = MinimizeQuadratic<Sgd>(30, 0.02);
-  auto momentum = MinimizeQuadratic<Sgd>(30, 0.02, 0.9);
-  double err_plain = std::fabs(plain[0] - 1.0f);
-  double err_momentum = std::fabs(momentum[0] - 1.0f);
-  EXPECT_LT(err_momentum, err_plain);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
-  auto x = MinimizeQuadratic<Adam>(400, 0.05);
+  auto x = MinimizeQuadratic(400, 0.05);
   EXPECT_NEAR(x[0], 1.0f, 1e-2f);
   EXPECT_NEAR(x[1], 2.0f, 1e-2f);
   EXPECT_NEAR(x[2], -1.0f, 1e-2f);
-}
-
-TEST(AdaGradTest, ConvergesOnQuadratic) {
-  auto x = MinimizeQuadratic<AdaGrad>(800, 0.5);
-  EXPECT_NEAR(x[0], 1.0f, 5e-2f);
-  EXPECT_NEAR(x[1], 2.0f, 5e-2f);
-}
-
-TEST(SgdTest, ExactSingleStep) {
-  Tensor x = Tensor::FromVector({1}, {2.0f}, true);
-  Sgd opt({x}, 0.1);
-  Tensor loss = tensor::Sum(tensor::Mul(x, x));  // grad = 2x = 4
-  opt.ZeroGrad();
-  loss.Backward();
-  opt.Step();
-  EXPECT_NEAR(x.vec()[0], 2.0f - 0.1f * 4.0f, 1e-6f);
 }
 
 TEST(AdamTest, FirstStepIsLearningRateSized) {
@@ -82,7 +51,7 @@ TEST(AdamTest, FirstStepIsLearningRateSized) {
 
 TEST(OptimizerTest, ClipGradNormRescales) {
   Tensor x = Tensor::FromVector({2}, {0.0f, 0.0f}, true);
-  Sgd opt({x}, 0.1);
+  Adam opt({x}, 0.1);
   Tensor grad_source = Tensor::FromVector({2}, {3.0f, 4.0f});
   Tensor loss = tensor::Sum(tensor::Mul(x, grad_source));
   opt.ZeroGrad();
@@ -96,7 +65,7 @@ TEST(OptimizerTest, ClipGradNormRescales) {
 
 TEST(OptimizerTest, ClipGradNormNoOpBelowThreshold) {
   Tensor x = Tensor::FromVector({1}, {0.0f}, true);
-  Sgd opt({x}, 0.1);
+  Adam opt({x}, 0.1);
   Tensor loss = tensor::Sum(tensor::MulScalar(x, 0.5f));
   opt.ZeroGrad();
   loss.Backward();
@@ -109,8 +78,7 @@ TEST(OptimizerTest, ClipGradNormNoOpBelowThreshold) {
 // step (so the touched-row metadata drops and the optimizer rebuilds its
 // active-row set), and gradient clipping tight enough to actually rescale.
 // Returns the final weights.
-template <typename OptimizerT>
-std::vector<float> RunScriptedEmbeddingTraining(OptimizerT* opt,
+std::vector<float> RunScriptedEmbeddingTraining(Adam* opt,
                                                 tensor::Tensor table) {
   const std::vector<std::vector<int64_t>> batches = {
       {0, 2, 2}, {1}, {/*dense step*/}, {0, 5}, {2, 2, 2, 1}, {4}};
@@ -158,105 +126,6 @@ TEST(AdamTest, DenseEquivalentSparseModeIsBitwiseDense) {
   ExpectBitwiseEqual(sparse, dense);
 }
 
-TEST(SgdTest, MomentumSparseModeIsBitwiseDense) {
-  Tensor t1 = ScriptedTable();
-  Sgd s1({t1}, 0.05, 0.9);
-  auto sparse = RunScriptedEmbeddingTraining(&s1, t1);
-
-  Tensor t2 = ScriptedTable();
-  Sgd s2({t2}, 0.05, 0.9);
-  s2.set_force_dense(true);
-  auto dense = RunScriptedEmbeddingTraining(&s2, t2);
-
-  ExpectBitwiseEqual(sparse, dense);
-}
-
-TEST(AdaGradTest, SparseModeIsBitwiseDense) {
-  Tensor t1 = ScriptedTable();
-  AdaGrad g1({t1}, 0.1);
-  auto sparse = RunScriptedEmbeddingTraining(&g1, t1);
-
-  Tensor t2 = ScriptedTable();
-  AdaGrad g2({t2}, 0.1);
-  g2.set_force_dense(true);
-  auto dense = RunScriptedEmbeddingTraining(&g2, t2);
-
-  ExpectBitwiseEqual(sparse, dense);
-}
-
-TEST(AdamTest, LazyModeFreezesUntouchedRowsOnly) {
-  // Row 0 is touched every step; row 1 only on the first. Lazy mode must
-  // leave row 1's weights frozen after its last touch, while keeping row
-  // 0's trajectory bitwise equal to dense-equivalent mode (same gradients,
-  // same clip scale, zero catch-up for always-touched rows).
-  const std::vector<std::vector<int64_t>> batches = {{0, 1}, {0}, {0}, {0}};
-  auto run = [&](SparseUpdateMode mode) {
-    Tensor table = Tensor::FromVector({2, 2}, {1.0f, -1.0f, 2.0f, -2.0f},
-                                      /*requires_grad=*/true);
-    Adam opt({table}, 0.05);
-    opt.set_sparse_update_mode(mode);
-    std::vector<float> row1_after_step0;
-    int step = 0;
-    for (const auto& idx : batches) {
-      opt.ZeroGrad();
-      tensor::Tensor out = tensor::EmbeddingLookup(
-          table, idx, {static_cast<int64_t>(idx.size())});
-      tensor::Sum(tensor::Mul(out, out)).Backward();
-      opt.ClipGradNorm(5.0);
-      opt.Step();
-      if (step == 0) {
-        row1_after_step0 = {table.vec()[2], table.vec()[3]};
-      }
-      ++step;
-    }
-    return std::make_pair(table.vec(), row1_after_step0);
-  };
-
-  auto [lazy_final, lazy_row1_mid] = run(SparseUpdateMode::kLazy);
-  auto [dense_final, dense_row1_mid] = run(SparseUpdateMode::kDenseEquivalent);
-
-  // Identical state right after the step that touched both rows.
-  EXPECT_EQ(lazy_row1_mid, dense_row1_mid);
-  // Row 0 (always touched): bitwise identical across modes.
-  EXPECT_EQ(lazy_final[0], dense_final[0]);
-  EXPECT_EQ(lazy_final[1], dense_final[1]);
-  // Row 1: frozen under lazy once untouched...
-  EXPECT_EQ(lazy_final[2], lazy_row1_mid[0]);
-  EXPECT_EQ(lazy_final[3], lazy_row1_mid[1]);
-  // ...but still decaying under dense-equivalent (nonzero m keeps moving).
-  EXPECT_NE(dense_final[2], dense_row1_mid[0]);
-}
-
-TEST(SgdTest, ReconfigureMomentumBetweenSteps) {
-  auto do_step = [](Sgd* opt, Tensor* x) {
-    opt->ZeroGrad();
-    tensor::Sum(tensor::Mul(*x, *x)).Backward();
-    opt->Step();
-  };
-
-  // set_momentum after construction behaves exactly like constructing with
-  // momentum: fresh zero velocity either way.
-  Tensor xa = Tensor::FromVector({2}, {1.0f, -2.0f}, /*requires_grad=*/true);
-  Sgd a({xa}, 0.1, 0.9);
-  Tensor xb = Tensor::FromVector({2}, {1.0f, -2.0f}, /*requires_grad=*/true);
-  Sgd b({xb}, 0.1);
-  b.set_momentum(0.9);
-  for (int i = 0; i < 3; ++i) {
-    do_step(&a, &xa);
-    do_step(&b, &xb);
-  }
-  ExpectBitwiseEqual(xa.vec(), xb.vec());
-
-  // Toggling momentum off discards state; re-enabling allocates it fresh,
-  // so further steps are safe (this used to index a missing buffer).
-  b.set_momentum(0.0);
-  do_step(&b, &xb);
-  b.set_momentum(0.5);
-  do_step(&b, &xb);
-  EXPECT_TRUE(std::isfinite(xb.vec()[0]));
-  EXPECT_TRUE(std::isfinite(xb.vec()[1]));
-}
-
 TEST(OptimizerTest, ClipGradNormThreadCountAndSparsityInvariant) {
   auto& ctx = tensor::ComputeContext::Get();
   const int prev_threads = ctx.num_threads();
@@ -267,7 +136,7 @@ TEST(OptimizerTest, ClipGradNormThreadCountAndSparsityInvariant) {
     Tensor table = ScriptedTable();
     Tensor w = Tensor::FromVector({4}, {2.0f, -3.0f, 4.0f, -5.0f},
                                   /*requires_grad=*/true);
-    Sgd opt({table, w}, 0.1);
+    Adam opt({table, w}, 0.1);
     opt.set_force_dense(force_dense);
     opt.ZeroGrad();
     tensor::Tensor out = tensor::EmbeddingLookup(table, {0, 3, 3, 5}, {4});
@@ -299,52 +168,24 @@ TEST(OptimizerTest, ClipGradNormThreadCountAndSparsityInvariant) {
   ctx.SetParallelThreshold(prev_threshold);
 }
 
-TEST(ExponentialDecayTest, DecaySchedule) {
-  ExponentialDecay decay(0.1, 0.5, 100);
-  EXPECT_DOUBLE_EQ(decay.At(0), 0.1);
-  EXPECT_NEAR(decay.At(100), 0.05, 1e-9);
-  EXPECT_NEAR(decay.At(200), 0.025, 1e-9);
-}
-
-// All optimizers decrease the loss on a small random regression problem.
-class OptimizerFamilyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(OptimizerFamilyTest, LossDecreasesOnRegression) {
+TEST(AdamTest, LossDecreasesOnRegression) {
   util::Rng rng(21);
   Tensor w = Tensor::Randn({4, 1}, &rng, 0.5f, true);
   Tensor x = Tensor::Randn({32, 4}, &rng);
   Tensor y = Tensor::Randn({32, 1}, &rng);
-
-  std::unique_ptr<Optimizer> opt;
-  switch (GetParam()) {
-    case 0:
-      opt = std::make_unique<Sgd>(std::vector<Tensor>{w}, 0.05);
-      break;
-    case 1:
-      opt = std::make_unique<Sgd>(std::vector<Tensor>{w}, 0.05, 0.9);
-      break;
-    case 2:
-      opt = std::make_unique<Adam>(std::vector<Tensor>{w}, 0.05);
-      break;
-    default:
-      opt = std::make_unique<AdaGrad>(std::vector<Tensor>{w}, 0.5);
-      break;
-  }
+  Adam opt({w}, 0.05);
   auto loss_value = [&] {
     return tensor::MseLoss(tensor::MatMul(x, w), y).item();
   };
   double initial = loss_value();
   for (int step = 0; step < 60; ++step) {
     Tensor loss = tensor::MseLoss(tensor::MatMul(x, w), y);
-    opt->ZeroGrad();
+    opt.ZeroGrad();
     loss.Backward();
-    opt->Step();
+    opt.Step();
   }
   EXPECT_LT(loss_value(), initial * 0.8);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerFamilyTest,
-                         ::testing::Values(0, 1, 2, 3));
 
 }  // namespace
 }  // namespace optim

@@ -329,9 +329,6 @@ TEST(TrainConfigValidationTest, AcceptsTheDefaultsAndTheParameterServer) {
   mc.train_workers = 4;
   mc.embedding_shards = 3;
   EXPECT_TRUE(core::ValidateTrainConfig(mc).ok());
-  mc.train_workers = 1;
-  mc.sparse_embedding_updates = "lazy";
-  EXPECT_TRUE(core::ValidateTrainConfig(mc).ok());
 }
 
 TEST(TrainConfigValidationTest, RejectsPsModeOtherThanSync) {
@@ -360,23 +357,18 @@ TEST(TrainConfigValidationTest, RejectsZeroGradSlices) {
   ExpectFitRejects(mc, "train_grad_slices");
 }
 
-TEST(TrainConfigValidationTest, RejectsUnknownSparseUpdateMode) {
-  core::OdnetConfig mc = TinyTrainConfig();
-  mc.sparse_embedding_updates = "eager";
-  ExpectFitRejects(mc, "sparse_embedding_updates");
-}
-
-TEST(TrainConfigValidationTest, RejectsLazyUpdatesWithSeveralWorkers) {
-  core::OdnetConfig mc = TinyTrainConfig();
-  mc.train_workers = 2;
-  mc.sparse_embedding_updates = "lazy";
-  ExpectFitRejects(mc, "lazy");
-}
-
 TEST(TrainConfigValidationTest, RejectsZeroBatchSize) {
   core::OdnetConfig mc = TinyTrainConfig();
   mc.batch_size = 0;
   ExpectFitRejects(mc, "batch_size");
+}
+
+TEST(TrainConfigValidationTest, RejectsZeroEpochs) {
+  core::OdnetConfig mc = TinyTrainConfig();
+  mc.epochs = 0;
+  ExpectFitRejects(mc, "epochs must be >= 1, got 0");
+  mc.epochs = -3;
+  ExpectFitRejects(mc, "epochs must be >= 1, got -3");
 }
 
 }  // namespace
