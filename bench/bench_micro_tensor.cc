@@ -480,9 +480,11 @@ int RunKernelSweep() {
   };
   std::vector<Row> rows;
   const std::vector<KernelWork> works = BuildKernelWorkloads();
-  for (int threads : bench::SweepThreadCounts()) {
-    tensor::ComputeContext::Get().SetNumThreads(threads);
-    for (const KernelWork& w : works) {
+  // Thread counts alternate within each kernel, so drift in a shared
+  // machine's load lands on both columns of a row instead of on one.
+  for (const KernelWork& w : works) {
+    for (int threads : bench::SweepThreadCounts()) {
+      tensor::ComputeContext::Get().SetNumThreads(threads);
       Row row;
       row.section = w.name;
       row.threads = threads;
@@ -504,6 +506,9 @@ int RunKernelSweep() {
     }
   }
   tensor::ComputeContext::Get().SetNumThreads(1);
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a.threads < b.threads;
+  });
 
   util::AsciiTable table({"Kernel", "Threads", "Scalar us", "SIMD us",
                           "Speedup", "GFLOP/s", "GB/s"});

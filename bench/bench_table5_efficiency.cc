@@ -10,9 +10,10 @@
 // `--train-step-sweep` instead runs the embedding-vocab scaling sweep:
 // per-train-step time for vocab in {1k, 10k, 100k} under the forced-dense
 // (pre-sparse) optimizer path and the default dense-equivalent sparse path,
-// written machine-readably to BENCH_train_step.json. ODNET_BENCH_SMOKE=1
-// shrinks the step counts so CI can watch for gross regressions without
-// paying full timing fidelity.
+// each cell the median of 5 fresh repetitions, written machine-readably to
+// BENCH_train_step.json. ODNET_BENCH_SMOKE=1 shrinks the step and
+// repetition counts so CI can watch for gross regressions without paying
+// full timing fidelity.
 //
 // `--ps-sweep` adds a `ps_sweep` section to the same JSON: the synchronous
 // data-parallel parameter-server step (sliced gradient reduction
@@ -29,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,13 +89,14 @@ double TimeTrainSteps(int64_t vocab, bool force_dense, int warmup, int steps,
 // One synchronous data-parallel parameter-server step over the same
 // synthetic model at parameter-server scale (vocab-row embedding table,
 // batch 512 split into 4 fixed micro-slices). Mirrors the trainer's sync
-// path: each worker replays its slices on a storage-aliased replica,
-// extracts sparse grad_rows deltas, and the reduction accumulates them in
-// slice order under the store's row-ownership partition, one pool task per
-// shard (the trainer's ComputeContext::ParallelFor), before one Adam::Step.
-// The slice grid is fixed, so every (workers, shards) cell does identical
-// arithmetic — the timing differences are pure coordination cost (thread
-// spawn, delta routing, shard-parallel reduction).
+// path: a gang started once per call (this thread plus workers - 1 pool
+// workers) replays the slices on storage-aliased replicas and extracts
+// sparse grad_rows deltas, and the reduction accumulates them in slice
+// order under the store's row-ownership partition, split over the shards
+// as the fan-out rule allows (the trainer's ComputeContext::ParallelFor),
+// before one Adam::Step. The slice grid is fixed, so every (workers,
+// shards) cell does identical arithmetic — the timing differences are pure
+// coordination cost (gang hand-off, delta routing, shard reduction).
 double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
                         int warmup, int steps,
                         odnet::bench::LatencyHistogram* hist) {
@@ -125,6 +128,8 @@ double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
     }
   }
 
+  std::unique_ptr<util::ThreadPool> gang_pool =
+      gang > 1 ? std::make_unique<util::ThreadPool>(gang - 1) : nullptr;
   std::atomic<int64_t> step_counter{0};
   auto step = [&]() {
     const int64_t step_id = step_counter.fetch_add(1);
@@ -158,25 +163,25 @@ double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
         slice_deltas[static_cast<size_t>(g)] = std::move(deltas);
       }
     };
-    if (gang == 1) {
-      worker_body(0);
+    if (gang_pool != nullptr) {
+      gang_pool->RunGang(gang, worker_body);
     } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<size_t>(gang));
-      for (int w = 0; w < gang; ++w) threads.emplace_back(worker_body, w);
-      for (std::thread& t : threads) t.join();
+      worker_body(0);
     }
     // Deterministic reduction: metadata serially, values shard-parallel in
     // ascending slice order, scale = slice/batch share.
     opt.ZeroGrad();
+    int64_t delta_values = 0;
     for (int g = 0; g < kSlices; ++g) {
       for (size_t p = 0; p < params.size(); ++p) {
         tensor::MarkDeltaRows(params[p], slice_deltas[g][p]);
+        delta_values += static_cast<int64_t>(slice_deltas[g][p].values.size());
       }
     }
     const float scale = 1.0f / static_cast<float>(kSlices);
     tensor::ComputeContext::Get().ParallelFor(
-        num_shards, 1, [&](int64_t s0, int64_t s1) {
+        num_shards, (delta_values + num_shards - 1) / num_shards,
+        [&](int64_t s0, int64_t s1) {
           for (int64_t s = s0; s < s1; ++s) {
             const int shard = static_cast<int>(s);
             for (size_t p = 0; p < params.size(); ++p) {
@@ -276,6 +281,7 @@ int RunTrainStepSweep(bool with_ps_sweep) {
   const bool smoke = std::getenv("ODNET_BENCH_SMOKE") != nullptr;
   const int warmup = smoke ? 1 : 5;
   const int steps = smoke ? 3 : 100;
+  const int reps = smoke ? 1 : 5;
   const int64_t vocabs[] = {1000, 10000, 100000};
   // Mode 0 forces the dense (pre-sparse) optimizer path; mode 1 is the
   // default row-sparse path, bitwise identical to it.
@@ -285,40 +291,58 @@ int RunTrainStepSweep(bool with_ps_sweep) {
       tensor::CpuCapabilityName(tensor::ActiveCpuCapability());
 
   std::printf(
-      "=== Train-step embedding sweep (batch 128, dim 16, %d steps, %u "
-      "cores, %s%s) ===\n",
-      steps, cores, cpu_tier, smoke ? ", smoke" : "");
-  util::AsciiTable table({"Vocab", "Mode", "us/step", "Speedup vs dense"});
+      "=== Train-step embedding sweep (batch 128, dim 16, median of %d x %d "
+      "steps, %u cores, %s%s) ===\n",
+      reps, steps, cores, cpu_tier, smoke ? ", smoke" : "");
+  util::AsciiTable table(
+      {"Vocab", "Mode", "us/step", "min-max", "Speedup vs dense"});
   std::string json = "{\n  \"bench\": \"train_step\",\n  \"smoke\": ";
   json += smoke ? "true" : "false";
   json += ",\n  \"cores\": " + std::to_string(cores) +
           ",\n  \"cpu_capability\": \"" + cpu_tier + "\"";
   json += ",\n  \"batch\": 128,\n  \"dim\": 16,\n  \"steps\": " +
-          std::to_string(steps) + ",\n  \"results\": [\n";
-  bool first = true;
+          std::to_string(steps) + ",\n  \"repetitions\": " +
+          std::to_string(reps) + ",\n  \"results\": [\n";
+  struct Cell {
+    int64_t vocab;
+    int mode;
+    std::vector<double> rep_us;
+    bench::LatencyHistogram hist;
+  };
+  std::vector<Cell> cells;
   for (int64_t vocab : vocabs) {
-    double dense_us = 0.0;
-    for (int mode = 0; mode < 2; ++mode) {
-      bench::LatencyHistogram hist;
-      const double us =
-          TimeTrainSteps(vocab, /*force_dense=*/mode == 0, warmup, steps,
-                         &hist);
-      if (mode == 0) dense_us = us;
-      const double speedup = us > 0.0 ? dense_us / us : 0.0;
-      table.AddRow({std::to_string(vocab), mode_names[mode],
-                    util::FormatFixed(us, 1),
-                    util::FormatFixed(speedup, 2) + "x"});
-      if (!first) json += ",\n";
-      first = false;
-      json += "    {\"vocab\": " + std::to_string(vocab) + ", \"mode\": \"" +
-              mode_names[mode] +
-              "\", \"us_per_step\": " + util::FormatFixed(us, 2) +
-              ", \"speedup_vs_dense\": " + util::FormatFixed(speedup, 3) +
-              ", " + hist.JsonFields() + "}";
-      std::printf("finished vocab=%lld mode=%s\n",
-                  static_cast<long long>(vocab), mode_names[mode]);
-      std::fflush(stdout);
+    for (int mode = 0; mode < 2; ++mode) cells.push_back({vocab, mode, {}, {}});
+  }
+  // Each repetition is a fresh table and optimizer; repetitions run
+  // round-robin over the cells, as in RunPsSweep.
+  for (int r = 0; r < reps; ++r) {
+    for (Cell& c : cells) {
+      c.rep_us.push_back(TimeTrainSteps(c.vocab, /*force_dense=*/c.mode == 0,
+                                        warmup, steps, &c.hist));
     }
+    std::printf("finished repetition %d of %d\n", r + 1, reps);
+    std::fflush(stdout);
+  }
+  double dense_us = 0.0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    Cell& c = cells[i];
+    std::sort(c.rep_us.begin(), c.rep_us.end());
+    const double us = c.rep_us[c.rep_us.size() / 2];
+    if (c.mode == 0) dense_us = us;
+    const double speedup = us > 0.0 ? dense_us / us : 0.0;
+    table.AddRow({std::to_string(c.vocab), mode_names[c.mode],
+                  util::FormatFixed(us, 1),
+                  util::FormatFixed(c.rep_us.front(), 0) + "-" +
+                      util::FormatFixed(c.rep_us.back(), 0),
+                  util::FormatFixed(speedup, 2) + "x"});
+    if (i > 0) json += ",\n";
+    json += "    {\"vocab\": " + std::to_string(c.vocab) + ", \"mode\": \"" +
+            mode_names[c.mode] +
+            "\", \"us_per_step\": " + util::FormatFixed(us, 2) +
+            ", \"us_per_step_min\": " + util::FormatFixed(c.rep_us.front(), 2) +
+            ", \"us_per_step_max\": " + util::FormatFixed(c.rep_us.back(), 2) +
+            ", \"speedup_vs_dense\": " + util::FormatFixed(speedup, 3) +
+            ", " + c.hist.JsonFields() + "}";
   }
   json += "\n  ]";
   std::printf("\n");

@@ -5,7 +5,6 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -213,6 +212,13 @@ TrainStats OdnetTrainer::TrainDataParallel() {
   ODNET_CHECK_GT(n, 0) << "empty training set";
   const int64_t bs = config.batch_size;
 
+  // The gang: this thread plus gang - 1 pool workers that live for the
+  // whole call, so a step hands out slices instead of spawning threads.
+  // Pool workers count as workers for nesting, so the kernels they run
+  // stay serial, as under the calling thread's WorkerMark.
+  std::unique_ptr<util::ThreadPool> gang_pool =
+      gang > 1 ? std::make_unique<util::ThreadPool>(gang - 1) : nullptr;
+
   telemetry::Histogram* step_ns =
       telemetry::TelemetryRegistry::Get().GetHistogram("train.step_ns");
   telemetry::Histogram* epoch_ns =
@@ -239,7 +245,7 @@ TrainStats OdnetTrainer::TrainDataParallel() {
       std::vector<SliceResult> results(static_cast<size_t>(num_slices));
       std::atomic<int> next_slice{0};
       auto worker_body = [&, start, end, per, step_index, epoch](int w) {
-        // The gang thread is a "worker" for nesting purposes: kernels it
+        // Every gang member is a "worker" for nesting purposes: kernels it
         // runs execute serially instead of re-entering the shared pool.
         util::ThreadPool::WorkerMark mark;
         for (;;) {
@@ -272,13 +278,10 @@ TrainStats OdnetTrainer::TrainDataParallel() {
           }
         }
       };
-      if (gang == 1) {
-        worker_body(0);
+      if (gang_pool != nullptr) {
+        gang_pool->RunGang(gang, worker_body);
       } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<size_t>(gang));
-        for (int w = 0; w < gang; ++w) threads.emplace_back(worker_body, w);
-        for (std::thread& t : threads) t.join();
+        worker_body(0);
       }
 
       // Deterministic reduction: zero the master grad, merge the slices'
@@ -286,15 +289,19 @@ TrainStats OdnetTrainer::TrainDataParallel() {
       // — a shard only writes rows it owns, and every row sees its slice
       // contributions in ascending slice order whatever the shard/thread
       // count. Slice weights make the combined gradient the batch mean.
+      // The fan-out rule sees the delta values the shards share out.
       optimizer.ZeroGrad();
+      int64_t delta_values = 0;
       for (const SliceResult& r : results) {
         if (r.count == 0) continue;
         for (size_t p = 0; p < num_params; ++p) {
           tensor::MarkDeltaRows(params[p], r.deltas[p]);
+          delta_values += static_cast<int64_t>(r.deltas[p].values.size());
         }
       }
       tensor::ComputeContext::Get().ParallelFor(
-          num_shards, 1, [&](int64_t s0, int64_t s1) {
+          num_shards, (delta_values + num_shards - 1) / num_shards,
+          [&](int64_t s0, int64_t s1) {
             for (int64_t s = s0; s < s1; ++s) {
               const int shard = static_cast<int>(s);
               for (size_t p = 0; p < num_params; ++p) {

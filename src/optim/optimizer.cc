@@ -30,6 +30,11 @@ constexpr double kEps = 1e-8;
 // sparse vs dense gradients.
 constexpr int64_t kClipChunkElems = 8192;
 
+// Scalar ops of one Adam element update (two moment updates, square root,
+// epsilon, division, learning-rate scale, weight update): the work the
+// step's fan-out sites report to ComputeContext::ParallelFor.
+constexpr int64_t kAdamOps = 12;
+
 struct ClipChunk {
   TensorImpl* impl;
   int64_t begin;  // element offsets into impl->grad
@@ -51,7 +56,7 @@ bool RowExactlyPositiveZero(const float* row, int64_t width) {
 std::vector<int64_t> ScanActiveRows(int64_t vocab, int64_t width,
                                     const float* m, const float* v) {
   std::vector<uint8_t> flags(static_cast<size_t>(vocab), 0);
-  Ctx().ParallelFor(vocab, Ctx().GrainFor(width), [&](int64_t rb, int64_t re) {
+  Ctx().ParallelFor(vocab, 2 * width, [&](int64_t rb, int64_t re) {
     for (int64_t r = rb; r < re; ++r) {
       const bool zero = RowExactlyPositiveZero(m + r * width, width) &&
                         RowExactlyPositiveZero(v + r * width, width);
@@ -82,12 +87,13 @@ std::vector<int64_t> SortedUnion(const std::vector<int64_t>& a,
   return out;
 }
 
-// Runs `body(row_index_position)` for every listed row across the pool.
-// Each position is written by exactly one worker (disjoint rows).
+// Runs `body(row_index_position)` for every listed row across the pool,
+// each row costing `row_work` scalar ops. Each position is written by
+// exactly one worker (disjoint rows).
 template <typename Body>
-void ParallelOverRows(const std::vector<int64_t>& rows, int64_t width,
+void ParallelOverRows(const std::vector<int64_t>& rows, int64_t row_work,
                       Body&& body) {
-  Ctx().ParallelFor(static_cast<int64_t>(rows.size()), Ctx().GrainFor(width),
+  Ctx().ParallelFor(static_cast<int64_t>(rows.size()), row_work,
                     [&](int64_t rb, int64_t re) {
                       for (int64_t r = rb; r < re; ++r) body(r);
                     });
@@ -184,13 +190,15 @@ double Adam::ClipGradNorm(double max_norm) {
       partial[static_cast<size_t>(c)] = sq;
     }
   };
-  // Fan out only when the gradient volume warrants a dispatch; either way
-  // the partials (and their combine order below) are identical.
-  if (effective_work >= Ctx().parallel_threshold()) {
-    Ctx().ParallelFor(static_cast<int64_t>(chunks.size()), 1, reduce);
-  } else {
-    reduce(0, static_cast<int64_t>(chunks.size()));
-  }
+  // The fan-out rule sees the squares the chunks actually sum (touched rows
+  // only for sparse gradients). Each chunk is a strictly ordered double sum,
+  // which does not vectorize. Either way the partials, and their combine
+  // order below, are identical.
+  const int64_t num_chunks = static_cast<int64_t>(chunks.size());
+  Ctx().ParallelFor(num_chunks,
+                    effective_work * tensor::ComputeContext::Lanes() /
+                        std::max<int64_t>(num_chunks, 1),
+                    reduce);
 
   double sq = 0.0;
   for (double ps : partial) sq += ps;  // ordered combine
@@ -211,7 +219,7 @@ double Adam::ClipGradNorm(double max_norm) {
         });
       } else {
         const int64_t n = static_cast<int64_t>(impl->grad.size());
-        Ctx().ParallelFor(n, Ctx().GrainFor(1), [&](int64_t b, int64_t e) {
+        Ctx().ParallelFor(n, 1, [&](int64_t b, int64_t e) {
           scale_fn(g + b, scale, e - b);
         });
       }
@@ -241,7 +249,7 @@ void Adam::Step() {
 
     const simd::KernelTable& kt = simd::Kernels();
     if (!RowSparseGrad(i)) {
-      Ctx().ParallelFor(n, Ctx().GrainFor(8), [&](int64_t b, int64_t e) {
+      Ctx().ParallelFor(n, kAdamOps, [&](int64_t b, int64_t e) {
         kt.adam_row(data + b, m + b, v + b, g + b, lr_t, b1, b2, eps, e - b);
       });
       if (impl->shape.size() == 2) {
@@ -263,14 +271,14 @@ void Adam::Step() {
       active_rows_[i] = ScanActiveRows(vocab, width, m, v);
       dense_state_[i] = 0;
     }
-    ParallelOverRows(touched, width * 8, [&](int64_t r) {
+    ParallelOverRows(touched, width * kAdamOps, [&](int64_t r) {
       const int64_t row = touched[static_cast<size_t>(r)];
       kt.adam_row(data + row * width, m + row * width, v + row * width,
                   g + row * width, lr_t, b1, b2, eps, width);
     });
     std::vector<int64_t> decay_rows = SortedDifference(active_rows_[i], touched);
     std::vector<uint8_t> still_active(decay_rows.size(), 0);
-    ParallelOverRows(decay_rows, width * 8, [&](int64_t r) {
+    ParallelOverRows(decay_rows, width * kAdamOps, [&](int64_t r) {
       const int64_t row = decay_rows[static_cast<size_t>(r)];
       float* mrow = m + row * width;
       float* vrow = v + row * width;

@@ -1,39 +1,75 @@
 #include "src/tensor/compute_context.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <thread>
 
+#include "src/tensor/simd/simd_kernels.h"
 #include "src/util/check.h"
+#include "src/util/logging.h"
 
 namespace odnet {
 namespace tensor {
 
 namespace {
 
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) return fallback;
-  return static_cast<int64_t>(value);
-}
-
 thread_local Backend t_backend = Backend::kOptimized;
 
+// Shards the fan-out rule allows for `total` units of `unit_work` scalar
+// ops each on the active tier, at most `total`.
+int64_t RuleShards(int64_t total, int64_t unit_work) {
+  const double work = static_cast<double>(total) *
+                      static_cast<double>(std::max<int64_t>(1, unit_work));
+  const double vector_ops =
+      work / static_cast<double>(ComputeContext::Lanes());
+  const double shards =
+      vector_ops / static_cast<double>(ComputeContext::kMinShardVectorOps);
+  return shards >= static_cast<double>(total) ? total
+                                              : static_cast<int64_t>(shards);
+}
+
 }  // namespace
+
+util::Result<int> ParseNumThreads(const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(begin, &end, 10);
+  // strtoll skips leading blanks and takes a sign; neither is accepted.
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || errno == ERANGE || value < 1 ||
+      value > ComputeContext::kMaxThreads) {
+    return util::Status::InvalidArgument(
+        "expected an integer in [1, " +
+        std::to_string(ComputeContext::kMaxThreads) + "], got \"" + text +
+        "\"");
+  }
+  return static_cast<int>(value);
+}
+
+int64_t ComputeContext::Lanes() {
+  return std::max<int64_t>(1, simd::Kernels().narrow.width);
+}
 
 void ComputeContext::SetBackend(Backend backend) { t_backend = backend; }
 
 Backend ComputeContext::backend() { return t_backend; }
 
 ComputeContext::ComputeContext() {
-  int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw < 1) hw = 1;
   num_threads_ =
-      static_cast<int>(EnvInt64("ODNET_NUM_THREADS", static_cast<int64_t>(hw)));
-  threshold_ = EnvInt64("ODNET_PARALLEL_THRESHOLD", threshold_);
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const char* raw = std::getenv("ODNET_NUM_THREADS");
+  if (raw != nullptr && *raw != '\0') {
+    util::Result<int> parsed = ParseNumThreads(raw);
+    if (parsed.ok()) {
+      num_threads_ = parsed.value();
+    } else {
+      ODNET_LOG_ERROR << "ODNET_NUM_THREADS: " << parsed.status().message()
+                      << "; using " << num_threads_ << " threads";
+    }
+  }
 }
 
 ComputeContext& ComputeContext::Get() {
@@ -56,20 +92,12 @@ int ComputeContext::num_threads() {
   return num_threads_;
 }
 
-void ComputeContext::SetParallelThreshold(int64_t elements) {
-  ODNET_CHECK_GE(elements, 1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  threshold_ = elements;
+void ComputeContext::SetForceSplit(bool force) {
+  force_split_.store(force, std::memory_order_relaxed);
 }
 
-int64_t ComputeContext::parallel_threshold() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return threshold_;
-}
-
-int64_t ComputeContext::GrainFor(int64_t per_unit_work) const {
-  return std::max<int64_t>(1,
-                           parallel_threshold() / std::max<int64_t>(1, per_unit_work));
+bool ComputeContext::force_split() const {
+  return force_split_.load(std::memory_order_relaxed);
 }
 
 std::shared_ptr<util::ThreadPool> ComputeContext::shared_pool() {
@@ -79,23 +107,20 @@ std::shared_ptr<util::ThreadPool> ComputeContext::shared_pool() {
   return pool_;
 }
 
-void ComputeContext::ParallelFor(int64_t total, int64_t grain,
+void ComputeContext::ParallelFor(int64_t total, int64_t unit_work,
                                  const std::function<void(int64_t, int64_t)>& fn) {
   if (total <= 0) return;
-  if (grain < 1) grain = 1;
+  // Decided from the work and the tier alone, before any pool lookup, so a
+  // kernel that stays inline takes no lock.
+  int64_t shards = force_split() ? total : RuleShards(total, unit_work);
   std::shared_ptr<util::ThreadPool> p =
-      (total > grain && !util::ThreadPool::InWorkerThread()) ? shared_pool()
-                                                             : nullptr;
+      (shards >= 2 && !util::ThreadPool::InWorkerThread()) ? shared_pool()
+                                                           : nullptr;
   if (p == nullptr) {
     fn(0, total);
     return;
   }
-  const int64_t max_shards = (total + grain - 1) / grain;
-  const int64_t shards = std::min<int64_t>(p->num_threads(), max_shards);
-  if (shards <= 1) {
-    fn(0, total);
-    return;
-  }
+  shards = std::min<int64_t>(shards, p->num_threads());
   const int64_t chunk = (total + shards - 1) / shards;
   p->ParallelFor(shards, [&fn, total, chunk](int64_t s) {
     const int64_t begin = s * chunk;

@@ -1,11 +1,14 @@
 #ifndef ODNET_TENSOR_COMPUTE_CONTEXT_H_
 #define ODNET_TENSOR_COMPUTE_CONTEXT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 
+#include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
 namespace odnet {
@@ -24,26 +27,45 @@ enum class Backend {
 
 /// \brief Process-wide configuration of the parallel tensor backend.
 ///
-/// Kernels in ops.cc (and the chunked scorers in serving/) partition their
-/// work into contiguous ranges and fan out over one shared util::ThreadPool
-/// owned by this context. Configuration:
+/// Kernels in ops.cc and the optimizer partition their work into contiguous
+/// ranges and may fan out over one shared util::ThreadPool owned by this
+/// context. The thread count is set by SetNumThreads(), or by the
+/// ODNET_NUM_THREADS environment variable read at first use (an integer in
+/// [1, kMaxThreads]; anything else logs an error and keeps the default,
+/// std::thread::hardware_concurrency()). 1 means "serial".
 ///
-///  - thread count: SetNumThreads(), or the ODNET_NUM_THREADS environment
-///    variable read at first use; defaults to std::thread::hardware_
-///    concurrency(). 1 means "serial" and reproduces the historical
-///    single-threaded kernels exactly.
-///  - parallelism threshold: SetParallelThreshold(), or
-///    ODNET_PARALLEL_THRESHOLD; a kernel only fans out when its total
-///    scalar-op count exceeds this (default 16384), so small tensors never
-///    pay dispatch overhead.
+/// Fan-out rule: a kernel splits only into shards that each carry at least
+/// kMinShardVectorOps vector operations of the active CPU tier. Each call
+/// site reports its work per unit in scalar ops; ParallelFor divides by the
+/// tier's lane count and fans out only when two or more shards reach the
+/// minimum. A fork-join over the pool costs tens of µs, so at ODNET's
+/// shapes (d = 16, T <= 10, batch 128) every kernel stays on the calling
+/// thread, while a 128^3 MatMul or a multi-MB Adam step still splits.
 ///
 /// Determinism contract: every parallel kernel writes a disjoint output
 /// range per worker and keeps the per-element accumulation order of the
 /// serial kernel, so results are bitwise identical for every thread count.
 class ComputeContext {
  public:
+  /// Upper bound on ODNET_NUM_THREADS; larger values are rejected.
+  static constexpr int kMaxThreads = 256;
+
+  /// Minimum work of one shard, in vector operations of the active tier.
+  /// Calibrated on the 4-vCPU AVX-512 box against a fork-join of 20-60 µs:
+  /// there this much work takes about 45 µs in a MatMul and 45-65 µs in a
+  /// dense Adam step, so a 128^3 MatMul splits in two while ODNET's largest
+  /// kernel, a [128, 136] x [136, 64] expert MatMul (53 µs), stays whole
+  /// (DESIGN.md §7).
+  static constexpr int64_t kMinShardVectorOps = int64_t{1} << 16;
+
   /// The process-wide context.
   static ComputeContext& Get();
+
+  /// Lane count of the active CPU tier (1 on the scalar tier): the divisor
+  /// the fan-out rule applies to scalar ops. A loop that does not vectorize
+  /// costs a whole vector op per element, so it reports this many scalar
+  /// ops per element.
+  static int64_t Lanes();
 
   /// Kernel backend of the *calling thread* (thread-local state). Thread-
   /// local so a differential harness can oracle-check ops on one thread
@@ -59,21 +81,20 @@ class ComputeContext {
   void SetNumThreads(int n);
   int num_threads();
 
-  /// Minimum scalar-op count before a kernel fans out.
-  void SetParallelThreshold(int64_t elements);
-  int64_t parallel_threshold() const;
+  /// Test hook: when set, every fan-out site splits its range over the
+  /// whole pool regardless of its work, so tests can drive the parallel
+  /// code paths with tiny tensors.
+  void SetForceSplit(bool force);
+  bool force_split() const;
 
-  /// Work units per range such that one range amortizes the threshold:
-  /// max(1, parallel_threshold() / per_unit_work).
-  int64_t GrainFor(int64_t per_unit_work) const;
-
-  /// Splits [0, total) into at most num_threads() contiguous ranges of
-  /// roughly `grain` units minimum and runs fn(begin, end) across the pool.
-  /// Runs one inline fn(0, total) call instead when total <= grain, the
-  /// backend is serial, or the caller is already a pool worker (nested
-  /// kernels stay serial). The fixed range arithmetic plus disjoint writes
-  /// make parallel results bitwise equal to the serial ones.
-  void ParallelFor(int64_t total, int64_t grain,
+  /// Runs fn(begin, end) over [0, total), where one unit of the range costs
+  /// `unit_work` scalar ops (a multiply-add counts once). Splits the range
+  /// into contiguous shards across the pool when the fan-out rule above
+  /// allows two or more; otherwise — and always on a pool worker or under a
+  /// WorkerMark — runs one inline fn(0, total) call without touching the
+  /// pool. The fixed range arithmetic plus disjoint writes make parallel
+  /// results bitwise equal to the serial ones.
+  void ParallelFor(int64_t total, int64_t unit_work,
                    const std::function<void(int64_t, int64_t)>& fn);
 
   /// The shared pool, built on first use; nullptr when num_threads() == 1.
@@ -88,9 +109,14 @@ class ComputeContext {
 
   mutable std::mutex mutex_;
   int num_threads_ = 1;
-  int64_t threshold_ = 16384;
+  std::atomic<bool> force_split_{false};
   std::shared_ptr<util::ThreadPool> pool_;
 };
+
+/// Parses an ODNET_NUM_THREADS value: a decimal integer in
+/// [1, ComputeContext::kMaxThreads] with nothing after it. InvalidArgument
+/// otherwise (empty, non-numeric, trailing characters, out of range).
+util::Result<int> ParseNumThreads(const std::string& text);
 
 /// \brief RAII switch of the calling thread's kernel backend.
 ///

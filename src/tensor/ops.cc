@@ -40,6 +40,24 @@ ComputeContext& Ctx() { return ComputeContext::Get(); }
 // recorded plan kernels are the very closures below.
 bool RefMode() { return ComputeContext::backend() == Backend::kReference; }
 
+// Work per element, in scalar ops, that the fan-out sites report to
+// ComputeContext::ParallelFor; a multiply-add counts once. One evaluation
+// of the vector exp behind Sigmoid, Tanh, Exp and Softmax is about twenty
+// instructions (simd_vec_kernels.inc, ExpV).
+constexpr int64_t kExpOps = 20;
+constexpr int64_t kSoftmaxOps = kExpOps + 4;  // max, subtract, sum, scale
+
+int64_t UnaryWork(simd::UnaryEw kind) {
+  switch (kind) {
+    case simd::UnaryEw::kSigmoid:
+    case simd::UnaryEw::kTanh:
+    case simd::UnaryEw::kExp:
+      return kExpOps;
+    default:
+      return 1;
+  }
+}
+
 // MatMul tiling: process kMatMulRowBlock output rows against
 // kMatMulKBlock-row slabs of B, so a slab (kKBlock * n floats) is reused
 // across the row block while hot in cache. Accumulation order over p stays
@@ -135,25 +153,16 @@ RunGrid MakeRunGrid(const Shape& out_shape, const Shape& a_shape,
   return grid;
 }
 
-// Calls fn(run, a_off, b_off) for the runs in [begin, end), with each
-// operand's offset at the run's first element. The starting offsets are
-// derived from `begin`, so disjoint ranges can run on different threads.
+// Calls fn(run, a_off, b_off) for every run in order, with each operand's
+// offset at the run's first element.
 template <typename Fn>
-void ForEachRun(const RunGrid& grid, int64_t begin, int64_t end, Fn&& fn) {
-  if (begin >= end) return;
+void ForEachRun(const RunGrid& grid, Fn&& fn) {
   const Shape& dims = grid.outer;
   const int64_t rank = static_cast<int64_t>(dims.size());
   std::vector<int64_t> counter(dims.size(), 0);
   int64_t a_off = 0;
   int64_t b_off = 0;
-  int64_t rem = begin;
-  for (int64_t d = rank - 1; d >= 0; --d) {
-    counter[d] = rem % dims[d];
-    rem /= dims[d];
-    a_off += counter[d] * grid.a_str[d];
-    b_off += counter[d] * grid.b_str[d];
-  }
-  for (int64_t run = begin; run < end; ++run) {
+  for (int64_t run = 0; run < grid.num_runs; ++run) {
     fn(run, a_off, b_off);
     for (int64_t d = rank - 1; d >= 0; --d) {
       ++counter[d];
@@ -165,17 +174,6 @@ void ForEachRun(const RunGrid& grid, int64_t begin, int64_t end, Fn&& fn) {
       counter[d] = 0;
     }
   }
-}
-
-// Runs fn(run, a_off, b_off) for every run, fanning disjoint run ranges
-// out over the backend pool. `fn` must write only its own run's output,
-// which keeps results thread-count independent.
-template <typename Fn>
-void ParallelRuns(const RunGrid& grid, Fn&& fn) {
-  Ctx().ParallelFor(grid.num_runs, Ctx().GrainFor(grid.len),
-                    [&](int64_t begin, int64_t end) {
-                      ForEachRun(grid, begin, end, fn);
-                    });
 }
 
 // o[t] = op(x[t], y[t]) over one run of `len` with one side broadcast:
@@ -190,16 +188,6 @@ void RunLoop(const float* x, const float* y, bool x_fixed, float* o,
     const float yv = *y;
     for (int64_t t = 0; t < len; ++t) o[t] = op(x[t], yv);
   }
-}
-
-// Runs body(i) for i in [0, n) across the pool in disjoint ranges; body
-// must write only slot i. `per_unit_work` sizes the parallelism grain.
-template <typename Body>
-void ParallelElementwise(int64_t n, int64_t per_unit_work, Body&& body) {
-  Ctx().ParallelFor(n, Ctx().GrainFor(per_unit_work),
-                    [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) body(i);
-                    });
 }
 
 // Accumulates `grad` (laid out as `from` shape) scaled by `scale` into
@@ -220,7 +208,7 @@ void ReduceGradToShape(const std::vector<float>& grad, const Shape& from,
   }
   const RunGrid grid = MakeRunGrid(from, to, to);  // one operand: `to`
   const int64_t len = grid.len;
-  ForEachRun(grid, 0, grid.num_runs, [&](int64_t run, int64_t t_off, int64_t) {
+  ForEachRun(grid, [&](int64_t run, int64_t t_off, int64_t) {
     const float* g = grad.data() + run * len;
     float* d = dst + t_off;
     if (grid.a_step == 0) {
@@ -298,17 +286,11 @@ void BinaryBackward(BinaryKind kind, const Shape& out_shape,
     const int64_t n = Numel(out_shape);
     const simd::KernelTable& kt = simd::Kernels();
     if (kind == BinaryKind::kMul) {
-      Ctx().ParallelFor(n, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
-        if (da != nullptr) kt.mul_accum(pg + b0, pb + b0, da + b0, b1 - b0);
-        if (db != nullptr) kt.mul_accum(pg + b0, pa + b0, db + b0, b1 - b0);
-      });
+      if (da != nullptr) kt.mul_accum(pg, pb, da, n);
+      if (db != nullptr) kt.mul_accum(pg, pa, db, n);
     } else {  // kDiv
-      Ctx().ParallelFor(n, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
-        if (da != nullptr) kt.div_bwd_a(pg + b0, pb + b0, da + b0, b1 - b0);
-        if (db != nullptr) {
-          kt.div_bwd_b(pg + b0, pa + b0, pb + b0, db + b0, b1 - b0);
-        }
-      });
+      if (da != nullptr) kt.div_bwd_a(pg, pb, da, n);
+      if (db != nullptr) kt.div_bwd_b(pg, pa, pb, db, n);
     }
     return;
   }
@@ -337,7 +319,7 @@ void BinaryBackward(BinaryKind kind, const Shape& out_shape,
       RunLoop(gr, other, /*x_fixed=*/false, d, len, op);
     });
   };
-  ParallelRuns(grid, [&](int64_t run, int64_t oa, int64_t ob) {
+  ForEachRun(grid, [&](int64_t run, int64_t oa, int64_t ob) {
     const float* gr = pg + run * len;
     // ga = g * b (Mul) or g / b (Div).
     if (need_a) run_op(gr, pb + ob, grid.b_step, ga.data() + run * len);
@@ -382,7 +364,7 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind,
       // so a replayed plan picks the (stamped, CHECK-verified) active tier.
       const int64_t n = Numel(out_shape);
       const simd::BinaryEwFn fn = simd::Kernels().binary[static_cast<int>(kind)];
-      Ctx().ParallelFor(n, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
+      Ctx().ParallelFor(n, 1, [&](int64_t b0, int64_t b1) {
         fn(pa + b0, pb + b0, po + b0, b1 - b0);
       });
     } else {
@@ -392,7 +374,7 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind,
       const simd::BinaryEwFn fn =
           simd::Kernels().binary[static_cast<int>(kind)];
       WithBinaryKernel(kind, [&](auto op) {
-        ParallelRuns(grid, [&](int64_t run, int64_t oa, int64_t ob) {
+        ForEachRun(grid, [&](int64_t run, int64_t oa, int64_t ob) {
           float* o = po + run * len;
           if (grid.a_step == grid.b_step) {
             fn(pa + oa, pb + ob, o, len);
@@ -428,7 +410,7 @@ Tensor UnaryOp(const Tensor& a, const char* op_name, FwdFn fwd, BwdFn bwd) {
     if (RefMode()) {
       reference::UnaryForward(n, pa, po, fwd);
     } else {
-      ParallelElementwise(n, 1, [&](int64_t i) { po[i] = fwd(pa[i]); });
+      for (int64_t i = 0; i < n; ++i) po[i] = fwd(pa[i]);
     }
   };
   run(a.data(), out.data());
@@ -445,9 +427,7 @@ Tensor UnaryOp(const Tensor& a, const char* op_name, FwdFn fwd, BwdFn bwd) {
           reference::UnaryBackward(gn, g, px, py, pg, bwd);
           return;
         }
-        ParallelElementwise(gn, 1, [&](int64_t i) {
-          pg[i] += g[i] * bwd(px[i], py[i]);
-        });
+        for (int64_t i = 0; i < gn; ++i) pg[i] += g[i] * bwd(px[i], py[i]);
       });
   if (capture::Active()) {
     capture::RecordOp(result, {a},
@@ -474,7 +454,7 @@ Tensor DispatchedUnaryOp(const Tensor& a, const char* op_name,
     } else {
       const simd::UnaryFwdFn fn =
           simd::Kernels().unary_fwd[static_cast<int>(kind)];
-      Ctx().ParallelFor(n, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
+      Ctx().ParallelFor(n, UnaryWork(kind), [&](int64_t b0, int64_t b1) {
         fn(pa + b0, param, po + b0, b1 - b0);
       });
     }
@@ -493,11 +473,8 @@ Tensor DispatchedUnaryOp(const Tensor& a, const char* op_name,
           reference::UnaryBackward(gn, g, px, py, pg, bwd);
           return;
         }
-        const simd::UnaryBwdFn fn =
-            simd::Kernels().unary_bwd[static_cast<int>(kind)];
-        Ctx().ParallelFor(gn, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
-          fn(g + b0, px + b0, py + b0, param, pg + b0, b1 - b0);
-        });
+        simd::Kernels().unary_bwd[static_cast<int>(kind)](g, px, py, param, pg,
+                                                          gn);
       });
   if (capture::Active()) {
     capture::RecordOp(result, {a},
@@ -614,7 +591,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       // Tiled forward over global output rows r = bt*m + i; A's row is
       // pa + r*k and C's row is po + r*n. Workers own disjoint row ranges.
       const simd::KernelTable& kt = simd::Kernels();
-      Ctx().ParallelFor(batch * m, Ctx().GrainFor(k * n),
+      Ctx().ParallelFor(batch * m, k * n,
                         [=, &kt](int64_t row_begin, int64_t row_end) {
                           MatMulForwardRows(kt, pa, pb, po, row_begin, row_end,
                                             m, k, n, b_batched);
@@ -653,31 +630,27 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           const int64_t nb = b_batched ? batch : 1;
           std::vector<float> bt_buf(static_cast<size_t>(nb * n * k));
           float* bt0 = bt_buf.data();
-          Ctx().ParallelFor(nb * n, Ctx().GrainFor(k),
-                            [=](int64_t rb, int64_t re) {
-                              for (int64_t r = rb; r < re; ++r) {
-                                const int64_t bi = r / n;
-                                const int64_t j = r % n;
-                                const float* src = pb + bi * k * n;
-                                float* dst = bt0 + bi * n * k + j * k;
-                                for (int64_t p = 0; p < k; ++p) {
-                                  dst[p] = src[p * n + j];
-                                }
-                              }
-                            });
+          for (int64_t r = 0; r < nb * n; ++r) {
+            const int64_t bi = r / n;
+            const int64_t j = r % n;
+            const float* src = pb + bi * k * n;
+            float* dst = bt0 + bi * n * k + j * k;
+            for (int64_t p = 0; p < k; ++p) dst[p] = src[p * n + j];
+          }
           const float* pbt = bt0;
-          Ctx().ParallelFor(batch * m, Ctx().GrainFor(k * n),
+          Ctx().ParallelFor(batch * m, k * n,
                             [=, &kt](int64_t row_begin, int64_t row_end) {
                               MatMulForwardRows(kt, G, pbt, da, row_begin,
                                                 row_end, m, n, k, b_batched);
                             });
         }
-        // dB[b] += A[b]^T * G[b], partitioned by dB rows p: each worker
-        // owns whole rows of dB, summing contributions in (batch, i)
-        // order — the same order as the serial kernel. For dB rows
-        // narrower than a vector, the narrow kernel takes a worker's rows
-        // as one block (a shared B's batch entries are consecutive rows of
-        // A and G, so it sums all batch*m of them in that same order).
+        // dB[b] += A[b]^T * G[b]. A shared B's dB is partitioned by rows
+        // p: each worker owns whole rows of dB, summing contributions in
+        // (batch, i) order — the same order as the serial kernel. For dB
+        // rows narrower than a vector, the narrow kernel takes a worker's
+        // rows as one block (a shared B's batch entries are consecutive
+        // rows of A and G, so it sums all batch*m of them in that same
+        // order). A batched B (attention's per-row products) runs serially.
         if (ib->requires_grad) {
           const float* pa = ia->data().data();
           float* db = ib->grad.data();
@@ -685,28 +658,21 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           const simd::MatMulDbRowsNarrowFn db_narrow = kt.narrow.matmul_db_rows;
           const bool narrow = n < kt.narrow.width;
           if (b_batched) {
-            Ctx().ParallelFor(
-                batch * k, Ctx().GrainFor(m * n),
-                [=](int64_t rb_begin, int64_t rb_end) {
-                  for (int64_t rbr = rb_begin; rbr < rb_end;) {
-                    const int64_t bt = rbr / k;
-                    const int64_t lim = std::min(rb_end, (bt + 1) * k);
-                    const float* a_bt = pa + bt * m * k;
-                    const float* g_bt = G + bt * m * n;
-                    if (narrow) {
-                      db_narrow(a_bt, g_bt, db + bt * k * n, rbr - bt * k,
-                                lim - bt * k, m, k, n);
-                    } else {
-                      for (int64_t r = rbr; r < lim; ++r) {
-                        db_row_fn(a_bt, g_bt, db + r * n, r - bt * k, m, k, n);
-                      }
-                    }
-                    rbr = lim;
-                  }
-                });
+            for (int64_t bt = 0; bt < batch; ++bt) {
+              const float* a_bt = pa + bt * m * k;
+              const float* g_bt = G + bt * m * n;
+              float* db_bt = db + bt * k * n;
+              if (narrow) {
+                db_narrow(a_bt, g_bt, db_bt, 0, k, m, k, n);
+              } else {
+                for (int64_t p = 0; p < k; ++p) {
+                  db_row_fn(a_bt, g_bt, db_bt + p * n, p, m, k, n);
+                }
+              }
+            }
           } else {
             Ctx().ParallelFor(
-                k, Ctx().GrainFor(batch * m * n),
+                k, batch * m * n,
                 [=](int64_t p_begin, int64_t p_end) {
                   if (narrow) {
                     db_narrow(pa, G, db, p_begin, p_end, batch * m, k, n);
@@ -746,7 +712,7 @@ Tensor TransposeLast2(const Tensor& a) {
     if (RefMode()) {
       reference::TransposeLast2Forward(pa, po, batch, rows, cols);
     } else {
-      ParallelElementwise(batch, rows * cols, [&](int64_t bt) {
+      for (int64_t bt = 0; bt < batch; ++bt) {
         const float* src = pa + bt * rows * cols;
         float* dst = po + bt * rows * cols;
         for (int64_t i = 0; i < rows; ++i) {
@@ -754,7 +720,7 @@ Tensor TransposeLast2(const Tensor& a) {
             dst[j * rows + i] = src[i * cols + j];
           }
         }
-      });
+      }
     }
   };
   run(a.data(), out.data());
@@ -769,7 +735,7 @@ Tensor TransposeLast2(const Tensor& a) {
           reference::TransposeLast2Backward(g0, d0, batch, rows, cols);
           return;
         }
-        ParallelElementwise(batch, rows * cols, [&](int64_t bt) {
+        for (int64_t bt = 0; bt < batch; ++bt) {
           const float* g = g0 + bt * rows * cols;
           float* dst = d0 + bt * rows * cols;
           for (int64_t j = 0; j < cols; ++j) {
@@ -777,7 +743,7 @@ Tensor TransposeLast2(const Tensor& a) {
               dst[i * cols + j] += g[j * rows + i];
             }
           }
-        });
+        }
       });
   if (capture::Active()) {
     capture::RecordOp(result, {a},
@@ -823,11 +789,7 @@ Tensor Reshape(const Tensor& a, const Shape& new_shape) {
     if (!parent->requires_grad) return;
     const float* g = self->grad.data();
     float* pg = parent->grad.data();
-    const simd::AddIntoFn add_into = simd::Kernels().add_into;
-    Ctx().ParallelFor(static_cast<int64_t>(self->grad.size()),
-                      Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
-                        add_into(g + b0, pg + b0, b1 - b0);
-                      });
+    simd::Kernels().add_into(g, pg, static_cast<int64_t>(self->grad.size()));
   });
   if (capture::Active()) capture::RecordAlias(result, a);
   return result;
@@ -1008,37 +970,21 @@ Tensor Stack(const std::vector<Tensor>& inputs) {
 namespace {
 
 // Backward plan for EmbeddingLookup, built once per forward (in grad mode):
-// lookup positions grouped by table row (CSR layout), rows sorted ascending
-// and per-row positions ascending. The grouped scatter then owns each
-// destination row exclusively (parallel-safe) while accumulating every
-// element in the same position order as the serial i-ascending scatter, so
-// the result is bitwise identical regardless of thread count. `rows` doubles
-// as the touched-row list recorded on the table's grad metadata.
+// the lookup order the scatter walks, and the sorted unique rows it touches,
+// recorded on the table's grad metadata.
 struct EmbeddingBackwardPlan {
-  std::vector<int64_t> rows;       // sorted unique table rows
-  std::vector<int64_t> offsets;    // rows.size() + 1 CSR offsets
-  std::vector<int64_t> positions;  // lookup positions grouped by row
-  std::vector<int64_t> indices;    // original lookup order (reference path)
+  std::vector<int64_t> indices;  // lookup order
+  std::vector<int64_t> rows;     // sorted unique table rows
 };
 
 EmbeddingBackwardPlan BuildEmbeddingBackwardPlan(
     const std::vector<int64_t>& indices) {
   EmbeddingBackwardPlan plan;
   plan.indices = indices;
-  const int64_t count = static_cast<int64_t>(indices.size());
-  std::vector<std::pair<int64_t, int64_t>> by_row(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) by_row[i] = {indices[i], i};
-  std::sort(by_row.begin(), by_row.end());
-  plan.offsets.push_back(0);
-  plan.positions.resize(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    if (plan.rows.empty() || plan.rows.back() != by_row[i].first) {
-      plan.rows.push_back(by_row[i].first);
-      plan.offsets.push_back(i);
-    }
-    plan.positions[i] = by_row[i].second;
-    plan.offsets.back() = i + 1;
-  }
+  plan.rows = indices;
+  std::sort(plan.rows.begin(), plan.rows.end());
+  plan.rows.erase(std::unique(plan.rows.begin(), plan.rows.end()),
+                  plan.rows.end());
   return plan;
 }
 
@@ -1046,7 +992,7 @@ EmbeddingBackwardPlan BuildEmbeddingBackwardPlan(
 // kernel (eager and replay alike) reads the *live* index vector — whose
 // object address the caller keeps stable when the op is captured into a
 // plan — revalidates bounds, and (when the table needs grad) rebuilds the
-// CSR backward plan for the current indices; the backward closure then
+// backward plan for the current indices; the backward closure then
 // consumes the freshest plan. Inference skips the plan build entirely.
 struct EmbeddingOpState {
   const std::vector<int64_t>* live_indices = nullptr;
@@ -1095,11 +1041,10 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int64_t>& indices,
     if (RefMode()) {
       reference::EmbeddingLookupForward(src, idx.data(), count, dim, po);
     } else {
-      const int64_t* pi = idx.data();
-      ParallelElementwise(count, dim, [=](int64_t i) {
-        std::memcpy(po + i * dim, src + pi[i] * dim,
+      for (int64_t i = 0; i < count; ++i) {
+        std::memcpy(po + i * dim, src + idx[i] * dim,
                     static_cast<size_t>(dim) * sizeof(float));
-      });
+      }
     }
     if (state->needs_plan) {
       state->plan = std::make_shared<const EmbeddingBackwardPlan>(
@@ -1129,28 +1074,13 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int64_t>& indices,
               static_cast<int64_t>(plan->indices.size()), dim, dst);
           return;
         }
-        // Grouped scatter: each worker owns whole destination rows, and
-        // per-row accumulation follows ascending lookup position — the
-        // serial scatter's order — so results are thread-count invariant.
-        const int64_t num_rows = static_cast<int64_t>(plan->rows.size());
-        const int64_t avg_positions =
-            num_rows == 0
-                ? 1
-                : (static_cast<int64_t>(plan->positions.size()) + num_rows -
-                   1) /
-                      num_rows;
+        // Serial scatter in lookup order: every row sums its contributions
+        // in ascending position, as the reference kernel does.
         const simd::AddIntoFn add_into = simd::Kernels().add_into;
-        Ctx().ParallelFor(
-            num_rows, Ctx().GrainFor(dim * avg_positions),
-            [&](int64_t rb, int64_t re) {
-              for (int64_t r = rb; r < re; ++r) {
-                float* drow = dst + plan->rows[r] * dim;
-                for (int64_t o = plan->offsets[r]; o < plan->offsets[r + 1];
-                     ++o) {
-                  add_into(g + plan->positions[o] * dim, drow, dim);
-                }
-              }
-            });
+        const int64_t count = static_cast<int64_t>(plan->indices.size());
+        for (int64_t i = 0; i < count; ++i) {
+          add_into(g + i * dim, dst + plan->indices[i] * dim, dim);
+        }
       });
   result.impl()->sparse_aware_backward = true;
   if (capture::Active()) {
@@ -1216,25 +1146,25 @@ Tensor SumAxis(const Tensor& a, int axis, bool keepdim) {
     if (RefMode()) {
       reference::SumAxisForward(src, po, outer, axis_dim, inner);
     } else {
-      // Each outer block owns out[o*inner, (o+1)*inner): disjoint, and the
-      // per-element sum over the axis keeps its serial order (lanes map to
-      // distinct inner positions, so vector tiers stay bitwise identical).
-      // Over the last axis a block is one float: one loop per row.
+      // Each outer block sums out[o*inner, (o+1)*inner) over the axis in
+      // ascending order (lanes map to distinct inner positions, so vector
+      // tiers stay bitwise identical). Over the last axis a block is one
+      // float: one loop per row.
       if (inner == 1) {
-        ParallelElementwise(outer, axis_dim, [&](int64_t o) {
+        for (int64_t o = 0; o < outer; ++o) {
           const float* row = src + o * axis_dim;
           float sum = po[o];
           for (int64_t k = 0; k < axis_dim; ++k) sum += row[k];
           po[o] = sum;
-        });
+        }
         return;
       }
       const simd::AddIntoFn add_into = simd::Kernels().add_into;
-      ParallelElementwise(outer, axis_dim * inner, [&](int64_t o) {
+      for (int64_t o = 0; o < outer; ++o) {
         for (int64_t k = 0; k < axis_dim; ++k) {
           add_into(src + (o * axis_dim + k) * inner, po + o * inner, inner);
         }
-      });
+      }
     }
   };
   run(a.data(), out.data());
@@ -1251,20 +1181,20 @@ Tensor SumAxis(const Tensor& a, int axis, bool keepdim) {
           return;
         }
         if (inner == 1) {
-          ParallelElementwise(outer, axis_dim, [&](int64_t o) {
+          for (int64_t o = 0; o < outer; ++o) {
             const float g = g0[o];
             float* row = d0 + o * axis_dim;
             for (int64_t k = 0; k < axis_dim; ++k) row[k] += g;
-          });
+          }
           return;
         }
         const simd::AddIntoFn add_into = simd::Kernels().add_into;
-        ParallelElementwise(outer, axis_dim * inner, [&](int64_t o) {
+        for (int64_t o = 0; o < outer; ++o) {
           const float* g = g0 + o * inner;
           for (int64_t k = 0; k < axis_dim; ++k) {
             add_into(g, d0 + (o * axis_dim + k) * inner, inner);
           }
-        });
+        }
       });
   if (capture::Active()) {
     capture::RecordOp(result, {a},
@@ -1304,19 +1234,17 @@ Tensor Softmax(const Tensor& a) {
     // Whole rows per worker; the row kernel (scalar, or the tolerance-tier
     // vector exp + fixed lane-tree horizontal sum) owns its row entirely,
     // so results are thread-count invariant within any one tier. Rows
-    // narrower than a vector go a worker's block at a time to the narrow
-    // kernel, which returns the row kernel's bits.
+    // narrower than a vector go in one block to the narrow kernel, which
+    // returns the row kernel's bits.
     const simd::KernelTable& kt = simd::Kernels();
     if (cols < kt.narrow.width) {
-      Ctx().ParallelFor(
-          rows, Ctx().GrainFor(cols), [&](int64_t b0, int64_t b1) {
-            kt.narrow.softmax_rows(src + b0 * cols, po + b0 * cols, b1 - b0,
-                                   cols);
-          });
+      kt.narrow.softmax_rows(src, po, rows, cols);
       return;
     }
-    ParallelElementwise(rows, cols, [&](int64_t r) {
-      kt.softmax_row(src + r * cols, po + r * cols, cols);
+    Ctx().ParallelFor(rows, cols * kSoftmaxOps, [&](int64_t b0, int64_t b1) {
+      for (int64_t r = b0; r < b1; ++r) {
+        kt.softmax_row(src + r * cols, po + r * cols, cols);
+      }
     });
   };
   run(a.data(), out.data());
@@ -1334,17 +1262,13 @@ Tensor Softmax(const Tensor& a) {
         }
         const simd::KernelTable& kt = simd::Kernels();
         if (cols < kt.narrow.width) {
-          Ctx().ParallelFor(
-              rows, Ctx().GrainFor(cols), [&](int64_t b0, int64_t b1) {
-                kt.narrow.softmax_bwd_rows(g0 + b0 * cols, y0 + b0 * cols,
-                                           d0 + b0 * cols, b1 - b0, cols);
-              });
+          kt.narrow.softmax_bwd_rows(g0, y0, d0, rows, cols);
           return;
         }
-        ParallelElementwise(rows, cols, [&](int64_t r) {
+        for (int64_t r = 0; r < rows; ++r) {
           kt.softmax_bwd_row(g0 + r * cols, y0 + r * cols, d0 + r * cols,
                              cols);
-        });
+        }
       });
   if (capture::Active()) {
     capture::RecordOp(result, {a},
@@ -1403,11 +1327,8 @@ Tensor Dropout(const Tensor& a, float p, util::Rng* rng, bool training) {
     if (RefMode()) {
       for (int64_t i = 0; i < n; ++i) po[i] = src[i] * pm[i];
     } else {
-      const simd::BinaryEwFn mul =
-          simd::Kernels().binary[static_cast<int>(BinaryKind::kMul)];
-      Ctx().ParallelFor(n, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
-        mul(src + b0, pm + b0, po + b0, b1 - b0);
-      });
+      simd::Kernels().binary[static_cast<int>(BinaryKind::kMul)](src, pm, po,
+                                                                 n);
     }
   };
   OpBuffer out = AllocOpResult(n, ZeroInit::kSkip);
@@ -1424,10 +1345,7 @@ Tensor Dropout(const Tensor& a, float p, util::Rng* rng, bool training) {
           for (int64_t i = 0; i < gn; ++i) pg[i] += g[i] * pm[i];
           return;
         }
-        const simd::MulAccumFn mul_accum = simd::Kernels().mul_accum;
-        Ctx().ParallelFor(gn, Ctx().GrainFor(1), [&](int64_t b0, int64_t b1) {
-          mul_accum(g + b0, pm + b0, pg + b0, b1 - b0);
-        });
+        simd::Kernels().mul_accum(g, pm, pg, gn);
       });
   if (capture::Active()) {
     capture::NoteHostData();  // the kernel draws from the shared host Rng
@@ -1474,22 +1392,13 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& targets) {
                                    : std::exp(xi) / (1.0f + std::exp(xi));
             pg[i] += g * (sig - pt[i]);
           };
-          if (RefMode()) {
-            for (int64_t i = 0; i < n; ++i) logit_grad(i);
-          } else {
-            ParallelElementwise(n, 1, logit_grad);
-          }
+          for (int64_t i = 0; i < n; ++i) logit_grad(i);
         }
         // Gradient w.r.t. soft targets: d/dt = -x / n.
         if (tg->requires_grad) {
           const float* px = xl->data().data();
           float* pg = tg->grad.data();
-          if (RefMode()) {
-            for (int64_t i = 0; i < n; ++i) pg[i] += -g * px[i];
-          } else {
-            ParallelElementwise(n, 1,
-                                [&](int64_t i) { pg[i] += -g * px[i]; });
-          }
+          for (int64_t i = 0; i < n; ++i) pg[i] += -g * px[i];
         }
       });
   if (capture::Active()) {

@@ -104,8 +104,8 @@ void SumAxisBackward(const float* g, float* da, int64_t outer,
 void EmbeddingLookupForward(const float* table, const int64_t* indices,
                             int64_t count, int64_t dim, float* out);
 
-/// dtable[indices[i]] += g[i] scatter-add with i ascending — the serial
-/// order the optimized grouped scatter reproduces per destination row.
+/// dtable[indices[i]] += g[i] scatter-add with i ascending — the order the
+/// optimized scatter also follows.
 void EmbeddingLookupBackward(const float* g, const int64_t* indices,
                              int64_t count, int64_t dim, float* dtable);
 

@@ -122,6 +122,27 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ThreadPool::RunGang(int n, const std::function<void(int)>& fn) {
+  std::vector<std::future<void>> members;
+  for (int i = 1; i < n; ++i) members.push_back(Submit([&fn, i] { fn(i); }));
+  std::exception_ptr first_error;
+  if (n > 0) {
+    try {
+      fn(0);
+    } catch (...) {
+      first_error = std::current_exception();
+    }
+  }
+  for (auto& f : members) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 bool ThreadPool::RunOneTask() {
   std::packaged_task<void()> task;
   {

@@ -45,6 +45,14 @@ class ThreadPool {
   /// the iteration order deterministic and the pool queue untouched.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
+  /// Runs fn(0) on the calling thread and fn(1), ..., fn(n - 1) as queued
+  /// tasks, one per index, and returns once all n calls have finished,
+  /// rethrowing the first exception. Unlike ParallelFor it never falls back
+  /// to a serial loop, wherever it is called from, so a pool of n - 1
+  /// otherwise idle workers runs all n members at once: the data-parallel
+  /// trainer keeps one such pool as its gang for a whole Train() call.
+  void RunGang(int n, const std::function<void(int)>& fn);
+
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// True when the current thread is one of *any* ThreadPool's workers.

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <functional>
 
 #include "gtest/gtest.h"
 #include "src/core/hsg_builder.h"
@@ -9,7 +10,12 @@
 #include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
+#include "src/optim/optimizer.h"
+#include "src/telemetry/telemetry.h"
+#include "src/tensor/buffer_arena.h"
+#include "src/tensor/compute_context.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd/simd_kernels.h"
 
 namespace odnet {
 namespace core {
@@ -370,6 +376,101 @@ TEST(HsgBuilderTest, LabelsNotInGraph) {
     EXPECT_EQ(std::find(nbrs.begin(), nbrs.end(), h.next_booking.origin),
               nbrs.end());
   }
+}
+
+// ------------------------------------------------------- fan-out rule --
+
+// Pool tasks that ran while `fn` ran, read from the threadpool.tasks
+// counter with telemetry switched on for the duration.
+int64_t PoolTasksDuring(const std::function<void()>& fn) {
+  const bool was_enabled = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  telemetry::Counter* tasks =
+      telemetry::TelemetryRegistry::Get().GetCounter("threadpool.tasks");
+  const int64_t before = tasks->Value();
+  fn();
+  const int64_t ran = tasks->Value() - before;
+  telemetry::SetEnabled(was_enabled);
+  return ran;
+}
+
+// Pool width 4 with the production fan-out rule; restores both on exit.
+class WidePoolScope {
+ public:
+  WidePoolScope()
+      : threads_(tensor::ComputeContext::Get().num_threads()),
+        force_split_(tensor::ComputeContext::Get().force_split()) {
+    tensor::ComputeContext::Get().SetNumThreads(4);
+    tensor::ComputeContext::Get().SetForceSplit(false);
+  }
+  ~WidePoolScope() {
+    tensor::ComputeContext::Get().SetNumThreads(threads_);
+    tensor::ComputeContext::Get().SetForceSplit(force_split_);
+  }
+
+ private:
+  int threads_;
+  bool force_split_;
+};
+
+// At odbench's shapes (default OdnetConfig, batch 128, 200 cities) a
+// training step and a serving replay stay on the calling thread on a
+// 16-lane tier. The largest kernel, each expert's [128, 136] x [136, 64]
+// MatMul, is 1.06 shards of work there and a split needs two; at 8 lanes it
+// is 2.1 shards, so narrower tiers split it, as the rule intends.
+TEST(FanOutRuleTest, OdnetStepAndReplayStayOnCallingThread) {
+  if (tensor::simd::Kernels().narrow.width < 16) {
+    GTEST_SKIP() << "a tier under 16 lanes gives ODNET's expert MatMuls "
+                    "two shards of work";
+  }
+  data::FliggyConfig fc;
+  fc.num_users = 1200;
+  fc.num_cities = 200;
+  fc.seed = 2101;
+  data::FliggySimulator simulator(fc);
+  const data::OdDataset dataset = simulator.Generate();
+  auto hsg = BuildHsgFromDataset(dataset, simulator.atlas());
+  data::TemporalFeatureIndex temporal(dataset, dataset.num_cities, 800);
+  OdnetConfig config;
+  OdnetModel model(hsg.get(), dataset.num_users, dataset.num_cities, config);
+  data::BatchEncoder encoder(&dataset, &temporal,
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  const data::OdBatch batch = encoder.EncodeJoint(
+      dataset.train_samples, 0, static_cast<size_t>(config.batch_size));
+  optim::Adam optimizer(model.Parameters(), config.learning_rate);
+
+  WidePoolScope wide;
+  model.Train();
+  EXPECT_EQ(PoolTasksDuring([&] {
+              tensor::ArenaScope arena(tensor::BufferArena::ThreadLocal());
+              Tensor loss = model.Loss(batch);
+              optimizer.ZeroGrad();
+              loss.Backward();
+              optimizer.ClipGradNorm(5.0);
+              optimizer.Step();
+            }),
+            0);
+  model.Eval();
+  model.PredictPlanned(batch);  // captures the plan
+  EXPECT_EQ(PoolTasksDuring([&] { model.PredictPlanned(batch); }), 0);
+}
+
+// Work worth tens of µs a shard still fans out: a 128^3 MatMul forward and
+// backward, and a dense Adam step over a 4 MB parameter.
+TEST(FanOutRuleTest, LargeWorkStillFansOut) {
+  WidePoolScope wide;
+  util::Rng rng(5);
+  Tensor a = Tensor::Randn({128, 128}, &rng, 0.1f, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn({128, 128}, &rng, 0.1f, /*requires_grad=*/true);
+  EXPECT_GT(PoolTasksDuring([&] {
+              tensor::Sum(tensor::MatMul(a, b)).Backward();
+            }),
+            0);
+  Tensor p = Tensor::Randn({1 << 20}, &rng, 0.05f, /*requires_grad=*/true);
+  tensor::Sum(tensor::Mul(p, p)).Backward();
+  optim::Adam adam({p}, 1e-3);
+  EXPECT_GT(PoolTasksDuring([&] { adam.Step(); }), 0);
 }
 
 }  // namespace

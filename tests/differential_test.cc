@@ -5,12 +5,13 @@
 // to produce the oracle, then under the optimized backend at every
 // CPU-capability tier compiled in and supported by the host (scalar /
 // AVX2 / AVX-512, see src/tensor/cpu_capability.h) across a
-// (threads, threshold) sweep, and asserts agreement of all forward values,
+// (threads, split) sweep, and asserts agreement of all forward values,
 // the loss, and every input gradient. The scalar tier must agree
-// *bitwise* (ULP distance 0) at every (threads in {1,2,8}) x (threshold
-// in {1,16384}) point — threshold 1 forces the parallel dispatch path
-// even for tiny tensors; 16384 forces the serial path. Vector tiers run
-// threads {1,8} at threshold 1 and must also agree bitwise, except for
+// *bitwise* (ULP distance 0) at every (threads in {1,2,8}) x (split in
+// {forced, rule}) point — a forced split (ComputeContext::SetForceSplit)
+// drives the parallel dispatch path even for tiny tensors; the fan-out
+// rule keeps them serial. Vector tiers run threads {1,8} with the split
+// forced and must also agree bitwise, except for
 // programs touching the vector-exp kernel family (Sigmoid / Tanh / Exp /
 // Softmax), which are tolerance-matched per the numerics policy in
 // DESIGN.md §11. Forcing ODNET_CPU_CAPABILITY=scalar in the environment
@@ -66,15 +67,15 @@ class ComputeConfigGuard {
  public:
   ComputeConfigGuard()
       : threads_(ComputeContext::Get().num_threads()),
-        threshold_(ComputeContext::Get().parallel_threshold()) {}
+        force_split_(ComputeContext::Get().force_split()) {}
   ~ComputeConfigGuard() {
     ComputeContext::Get().SetNumThreads(threads_);
-    ComputeContext::Get().SetParallelThreshold(threshold_);
+    ComputeContext::Get().SetForceSplit(force_split_);
   }
 
  private:
   int threads_;
-  int64_t threshold_;
+  bool force_split_;
 };
 
 // A differential program: builds a graph from `seed`, runs forward and
@@ -119,17 +120,17 @@ void ExpectBackendsAgree(const Program& program, uint64_t seed,
     const bool scalar_tier = cap == CpuCapability::kScalar;
     const std::vector<int> thread_sweep =
         scalar_tier ? std::vector<int>{1, 2, 8} : std::vector<int>{1, 8};
-    const std::vector<int64_t> threshold_sweep =
-        scalar_tier ? std::vector<int64_t>{1, 16384} : std::vector<int64_t>{1};
+    const std::vector<bool> split_sweep =
+        scalar_tier ? std::vector<bool>{true, false} : std::vector<bool>{true};
     for (int threads : thread_sweep) {
-      for (int64_t threshold : threshold_sweep) {
+      for (bool force_split : split_sweep) {
         ctx.SetNumThreads(threads);
-        ctx.SetParallelThreshold(threshold);
+        ctx.SetForceSplit(force_split);
         std::vector<float> optimized = RunProgram(program, seed);
         const std::string point_tag =
             tag + " [cap=" + CpuCapabilityName(cap) +
             " threads=" + std::to_string(threads) +
-            " threshold=" + std::to_string(threshold) + "]";
+            " split=" + (force_split ? "forced" : "rule") + "]";
         if (scalar_tier || vec_tol.bitwise()) {
           testing::ExpectUlpClose(optimized, oracle, /*max_ulps=*/0,
                                   point_tag);
@@ -425,7 +426,7 @@ TEST(DifferentialOpTest, EmbeddingLookupDuplicateHeavy) {
 // ClipGradNorm/Adam::Step for several steps, with some rows left untouched
 // for stretches. Pure function of its inputs, so the sparse path (default)
 // must reproduce the forced-dense pre-sparse path bit for bit at every
-// (threads, threshold) point and under the reference backend.
+// (threads, split) point and under the reference backend.
 std::vector<float> RunEmbeddingTrainLoop(bool force_dense) {
   util::Rng rng(97531);
   Tensor table = testing::RandomTensor({12, 3}, &rng, true);
@@ -454,7 +455,7 @@ TEST(DifferentialTrainStepTest, SparseAdamMatchesDenseAcrossThreads) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
   ctx.SetNumThreads(1);
-  ctx.SetParallelThreshold(16384);
+  ctx.SetForceSplit(false);
   // Oracle: the pre-sparse dense path, serial. The whole loop (embedding
   // lookup, matmul, Mul/Sum loss, clip, Adam) is built from bitwise-tier
   // kernels, so every capability tier must reproduce it exactly.
@@ -462,12 +463,13 @@ TEST(DifferentialTrainStepTest, SparseAdamMatchesDenseAcrossThreads) {
   for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
     CpuCapabilityScope cap_scope(cap);
     for (int threads : {1, 2, 8}) {
-      for (int64_t threshold : {int64_t{1}, int64_t{16384}}) {
+      for (bool force_split : {true, false}) {
         ctx.SetNumThreads(threads);
-        ctx.SetParallelThreshold(threshold);
+        ctx.SetForceSplit(force_split);
         const std::string tag = std::string(" [cap=") + CpuCapabilityName(cap) +
                                 " threads=" + std::to_string(threads) +
-                                " threshold=" + std::to_string(threshold) + "]";
+                                " split=" + (force_split ? "forced" : "rule") +
+                                "]";
         testing::ExpectUlpClose(RunEmbeddingTrainLoop(false), oracle,
                                 /*max_ulps=*/0, "TrainStep/sparse" + tag);
         testing::ExpectUlpClose(RunEmbeddingTrainLoop(true), oracle,
@@ -481,7 +483,7 @@ TEST(DifferentialTrainStepTest, SparseAdamMatchesDenseAcrossThreads) {
   {
     BackendGuard reference(Backend::kReference);
     ctx.SetNumThreads(1);
-    ctx.SetParallelThreshold(16384);
+    ctx.SetForceSplit(false);
     testing::ExpectUlpClose(RunEmbeddingTrainLoop(false), oracle,
                             /*max_ulps=*/0, "TrainStep/reference");
   }
@@ -803,7 +805,7 @@ TEST(DifferentialOpTest, NarrowMatMulSkipKeepsInfOut) {
           CpuCapabilityScope cap_scope(cap);
           for (int threads : {1, 8}) {
             ctx.SetNumThreads(threads);
-            ctx.SetParallelThreshold(1);
+            ctx.SetForceSplit(true);
             testing::ExpectUlpClose(
                 RunProgram(program, 9650), want, 0,
                 tag + " [cap=" + CpuCapabilityName(cap) +
@@ -918,7 +920,7 @@ TEST(SimdNarrowTest, NarrowSoftmaxMatchesRowKernelBitwise) {
         }
         for (int threads : {1, 8}) {
           ctx.SetNumThreads(threads);
-          ctx.SetParallelThreshold(1);
+          ctx.SetForceSplit(true);
           Tensor y = tensor::Softmax(Tensor::FromVector({rows, cols}, x));
           testing::ExpectUlpClose(y.vec(), want, 0,
                                   tag + " threads=" + std::to_string(threads));
@@ -986,7 +988,7 @@ TEST(SimdMathTest, VectorExpFamilyMatchesLibmWithinUlps) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
   ctx.SetNumThreads(1);
-  ctx.SetParallelThreshold(1);
+  ctx.SetForceSplit(true);
 
   struct Case {
     const char* name;
@@ -1203,7 +1205,7 @@ TEST(DifferentialPlanTest, CaptureReplayMatchesEagerRunForRun) {
     BackendGuard bg(backend);
     for (int threads : {1, 2, 8}) {
       ctx.SetNumThreads(threads);
-      ctx.SetParallelThreshold(1);
+      ctx.SetForceSplit(true);
 
       // Host-side state: contents refreshed per run, objects stable.
       struct HostState {
@@ -1305,7 +1307,7 @@ TEST(DifferentialGradCheckTest, CompositeGraphsUnderBothBackends) {
     BackendGuard guard(backend);
     for (int threads : {1, 8}) {
       ComputeContext::Get().SetNumThreads(threads);
-      ComputeContext::Get().SetParallelThreshold(1);
+      ComputeContext::Get().SetForceSplit(true);
       util::Rng rng(11);
       Tensor a = testing::RandomTensor({3, 4}, &rng);
       Tensor b = testing::RandomTensor({4, 2}, &rng);
@@ -1432,7 +1434,7 @@ std::string GoldenPathFor(const GoldenRun& run, CpuCapability cap) {
 void ExpectTinyTrainDigestMatchesGolden(const GoldenRun& run) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
-  ctx.SetParallelThreshold(1);
+  ctx.SetForceSplit(true);
 
   // Forced-scalar and dispatched tiers verified in the same process: a
   // capability switch between runs must be possible outside plans (each run

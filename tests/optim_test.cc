@@ -129,7 +129,7 @@ TEST(AdamTest, DenseEquivalentSparseModeIsBitwiseDense) {
 TEST(OptimizerTest, ClipGradNormThreadCountAndSparsityInvariant) {
   auto& ctx = tensor::ComputeContext::Get();
   const int prev_threads = ctx.num_threads();
-  const int64_t prev_threshold = ctx.parallel_threshold();
+  const bool prev_force_split = ctx.force_split();
 
   auto run = [](bool force_dense) {
     // Mixed parameter set: a row-sparse embedding grad plus a dense one.
@@ -152,9 +152,9 @@ TEST(OptimizerTest, ClipGradNormThreadCountAndSparsityInvariant) {
   ctx.SetNumThreads(1);
   auto [norm_ref, grads_ref] = run(/*force_dense=*/false);
   for (int threads : {1, 2, 8}) {
-    for (int64_t threshold : {int64_t{1}, int64_t{16384}}) {
+    for (bool force_split : {true, false}) {
       ctx.SetNumThreads(threads);
-      ctx.SetParallelThreshold(threshold);
+      ctx.SetForceSplit(force_split);
       auto [norm_sparse, grads_sparse] = run(/*force_dense=*/false);
       auto [norm_dense, grads_dense] = run(/*force_dense=*/true);
       EXPECT_EQ(norm_ref, norm_sparse);
@@ -165,7 +165,7 @@ TEST(OptimizerTest, ClipGradNormThreadCountAndSparsityInvariant) {
   }
 
   ctx.SetNumThreads(prev_threads);
-  ctx.SetParallelThreshold(prev_threshold);
+  ctx.SetForceSplit(prev_force_split);
 }
 
 TEST(AdamTest, LossDecreasesOnRegression) {

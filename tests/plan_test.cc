@@ -47,15 +47,15 @@ class ComputeConfigGuard {
  public:
   ComputeConfigGuard()
       : threads_(ComputeContext::Get().num_threads()),
-        threshold_(ComputeContext::Get().parallel_threshold()) {}
+        force_split_(ComputeContext::Get().force_split()) {}
   ~ComputeConfigGuard() {
     ComputeContext::Get().SetNumThreads(threads_);
-    ComputeContext::Get().SetParallelThreshold(threshold_);
+    ComputeContext::Get().SetForceSplit(force_split_);
   }
 
  private:
   int threads_;
-  int64_t threshold_;
+  bool force_split_;
 };
 
 // ------------------------------------------------------------ BufferArena --
@@ -213,7 +213,7 @@ TEST(GraphPlanTest, ReplayIsBitwiseIdenticalToEagerAcrossBackendsAndThreads) {
 
     for (int threads : {1, 2, 8}) {
       ctx.SetNumThreads(threads);
-      ctx.SetParallelThreshold(1);
+      ctx.SetForceSplit(true);
       Tensor fresh = testing::RandomTensor({6, 8}, &rng);
       tensor::NoGradGuard no_grad;
       std::vector<Tensor> eager = prog.RunOn(fresh);
@@ -351,7 +351,7 @@ TEST(GraphPlanTest, ElementwiseTailReplayMatchesEagerOnEveryTier) {
           [&prog]() { return prog.Run(); }, nullptr, {prog.x});
       for (int threads : {1, 2, 8}) {
         ctx.SetNumThreads(threads);
-        ctx.SetParallelThreshold(1);
+        ctx.SetForceSplit(true);
         // Two replays per thread count: the second runs on the dirty
         // recycled slot buffers the first left behind.
         for (int round = 0; round < 2; ++round) {
@@ -487,7 +487,7 @@ TEST(GraphPlanTest, DifferentialFuzzReplayVsEagerBitwise) {
             [&]() { return program(x); }, nullptr, {x});
         for (int threads : {1, 2, 8}) {
           ctx.SetNumThreads(threads);
-          ctx.SetParallelThreshold(1);
+          ctx.SetForceSplit(true);
           for (int round = 0; round < 2; ++round) {
             Tensor fresh = testing::RandomTensor({rows, cols}, &rng);
             std::vector<float> eager;

@@ -60,15 +60,15 @@ class ComputeConfigGuard {
  public:
   ComputeConfigGuard()
       : threads_(ComputeContext::Get().num_threads()),
-        threshold_(ComputeContext::Get().parallel_threshold()) {}
+        force_split_(ComputeContext::Get().force_split()) {}
   ~ComputeConfigGuard() {
     ComputeContext::Get().SetNumThreads(threads_);
-    ComputeContext::Get().SetParallelThreshold(threshold_);
+    ComputeContext::Get().SetForceSplit(force_split_);
   }
 
  private:
   int threads_;
-  int64_t threshold_;
+  bool force_split_;
 };
 
 // A small forward+backward graph touching the parallel kernel families;
@@ -149,7 +149,7 @@ TEST(ThreadPoolStressTest, RacingExceptionsExactlyOnePropagates) {
 TEST(ComputeContextStressTest, KernelsSurvivePoolReconfiguration) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
-  ctx.SetParallelThreshold(1);  // force parallel dispatch for tiny tensors
+  ctx.SetForceSplit(true);  // split even tiny tensors
   ctx.SetNumThreads(1);
   const std::vector<float> expected = RunSmallGraph();
 
@@ -182,7 +182,7 @@ TEST(ComputeContextStressTest, KernelsSurvivePoolReconfiguration) {
 TEST(ComputeContextStressTest, BackendSelectionIsThreadLocal) {
   ComputeConfigGuard guard;
   ComputeContext::Get().SetNumThreads(4);
-  ComputeContext::Get().SetParallelThreshold(1);
+  ComputeContext::Get().SetForceSplit(true);
   std::atomic<bool> leaked{false};
   std::thread oracle_thread([&leaked] {
     BackendGuard reference(Backend::kReference);
@@ -211,7 +211,7 @@ TEST(GraphPlanStressTest, ConcurrentReplayOnSharedPlanUnderReconfiguration) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
   ctx.SetNumThreads(1);
-  ctx.SetParallelThreshold(1);  // force parallel dispatch for tiny tensors
+  ctx.SetForceSplit(true);  // split even tiny tensors
 
   util::Rng rng(7171);
   Tensor x = Tensor::Randn({6, 8}, &rng);

@@ -1,6 +1,7 @@
 #include "src/tensor/tensor.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 #include "gtest/gtest.h"
@@ -758,20 +759,20 @@ TEST(OpsTest, DropoutPOneIsRejectedOnBothBackends) {
 // ------------------------------------------------------ Compute backend --
 
 // Restores the process-wide compute configuration on scope exit so tests
-// cannot leak thread-count or threshold changes into each other.
+// cannot leak thread-count or forced-split changes into each other.
 class ComputeConfigGuard {
  public:
   ComputeConfigGuard()
       : threads_(ComputeContext::Get().num_threads()),
-        threshold_(ComputeContext::Get().parallel_threshold()) {}
+        force_split_(ComputeContext::Get().force_split()) {}
   ~ComputeConfigGuard() {
     ComputeContext::Get().SetNumThreads(threads_);
-    ComputeContext::Get().SetParallelThreshold(threshold_);
+    ComputeContext::Get().SetForceSplit(force_split_);
   }
 
  private:
   int threads_;
-  int64_t threshold_;
+  bool force_split_;
 };
 
 // A mixed graph touching every parallelized kernel family: plain and
@@ -801,12 +802,27 @@ std::vector<float> RunMixedGraphOnce() {
   return out;
 }
 
+TEST(ComputeContextTest, ParseNumThreadsAcceptsOnlyAnIntegerInRange) {
+  for (const char* good : {"1", "4", "256"}) {
+    util::Result<int> parsed = tensor::ParseNumThreads(good);
+    ASSERT_TRUE(parsed.ok()) << good;
+    EXPECT_EQ(parsed.value(), std::atoi(good));
+  }
+  // Never handed to SetNumThreads: a rejected value must build no pool.
+  for (const char* bad : {"", "abc", "4x", " 4", "0", "-2", "257", "100000",
+                          "99999999999999999999"}) {
+    util::Result<int> parsed = tensor::ParseNumThreads(bad);
+    ASSERT_FALSE(parsed.ok()) << "\"" << bad << "\"";
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ComputeContextTest, BitwiseDeterministicAcrossThreadCounts) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
-  // Threshold 1 forces the parallel dispatch path even for tiny tensors;
-  // odd sizes in the graph make the range partitions uneven.
-  ctx.SetParallelThreshold(1);
+  // A forced split drives the parallel dispatch path even for tiny
+  // tensors; odd sizes in the graph make the range partitions uneven.
+  ctx.SetForceSplit(true);
   std::vector<std::vector<float>> runs;
   for (int threads : {1, 2, 8}) {
     ctx.SetNumThreads(threads);
@@ -848,7 +864,7 @@ std::vector<float> TrainTinyMlpOnce() {
 TEST(ComputeContextTest, TrainedWeightsIdenticalAcrossThreadCounts) {
   ComputeConfigGuard guard;
   ComputeContext& ctx = ComputeContext::Get();
-  ctx.SetParallelThreshold(1);
+  ctx.SetForceSplit(true);
   std::vector<std::vector<float>> runs;
   for (int threads : {1, 2, 8}) {
     ctx.SetNumThreads(threads);

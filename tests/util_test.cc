@@ -1,4 +1,7 @@
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -487,6 +490,46 @@ TEST(ThreadPoolTest, WorkerMarkForcesSerialParallelFor) {
     EXPECT_EQ(total, 32);
   }
   EXPECT_FALSE(ThreadPool::InWorkerThread());
+}
+
+TEST(ThreadPoolTest, RunGangRunsEveryMemberAtOnceFromAWorker) {
+  // The gang never degrades to a serial loop, even when started from
+  // inside another pool's task (where ParallelFor would): all three
+  // members must be live at the same time to pass the barrier.
+  ThreadPool outer(1);
+  ThreadPool gang(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::atomic<int> passed{0};
+  outer.Submit([&] {
+        EXPECT_TRUE(ThreadPool::InWorkerThread());
+        gang.RunGang(3, [&](int) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++arrived;
+          cv.notify_all();
+          if (cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return arrived == 3; })) {
+            passed.fetch_add(1);
+          }
+        });
+      })
+      .get();
+  EXPECT_EQ(passed.load(), 3);
+}
+
+TEST(ThreadPoolTest, RunGangRethrowsAfterEveryMemberFinishes) {
+  ThreadPool gang(3);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(gang.RunGang(4,
+                            [&finished](int member) {
+                              if (member == 2) {
+                                throw std::runtime_error("member 2");
+                              }
+                              finished.fetch_add(1);
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 }  // namespace
