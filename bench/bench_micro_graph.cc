@@ -148,7 +148,7 @@ PlanRow TimeServing(int threads, int warmup, int iters, int rounds) {
   tensor::ComputeContext::Get().SetNumThreads(threads);
   const data::OdDataset& dataset = Dataset();
   core::OdnetConfig config;
-  config.use_hsgc = false;  // serving cost without the sampling host stages
+  config.use_hsgc = false;  // ODNET-G, as in the committed sweep
   core::OdnetModel model(nullptr, dataset.num_users, dataset.num_cities,
                          config);
   data::TemporalFeatureIndex temporal(dataset, dataset.num_cities, 800);

@@ -419,6 +419,10 @@ int main(int argc, char** argv) {
       s.day = history.decision_day;
       rows.push_back(s);
     }
+    // One untimed request first: it pays the one-off serving set-up (plan
+    // capture, HSGC inference tables), which a request in steady state
+    // does not.
+    (void)method->Score(dataset, rows);
     constexpr int kRepeats = 20;
     watch.Restart();
     for (int r = 0; r < kRepeats; ++r) {

@@ -32,9 +32,12 @@ class OdnetRecommender : public OdRecommender {
                              const std::vector<data::Sample>& samples) override;
   double theta() const override;
   void InvalidateServingPlans() override;
-  // ThreadSafeScore stays false: the forward pass draws from the HSGC
-  // neighbor-sampling RNG (shared mutable stream), so concurrent Score
-  // calls would race. ODNET parallelizes inside the tensor backend instead.
+  // ThreadSafeScore stays false although the scores are pure (the HSGC
+  // reads tables computed once per weights version): each captured
+  // serving plan replays over one bound batch and one buffer set, and the
+  // plan cache is unsynchronized, so concurrent Score calls would race.
+  // The router then scores one request per call on one worker, which is
+  // also the shape odbench serve's traced run can attribute.
 
   const core::OdnetModel* model() const { return model_.get(); }
   const core::TrainStats& train_stats() const { return train_stats_; }

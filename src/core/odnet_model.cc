@@ -37,30 +37,40 @@ void RoleEncoder::SeedSampleStream(uint64_t seed) {
   if (hsgc_ != nullptr) hsgc_->SeedSampleStream(seed);
 }
 
-Tensor RoleEncoder::EmbedCitySeq(const Hsgc::State* state,
-                                 const std::vector<int64_t>& ids,
-                                 const tensor::Shape& shape) const {
-  if (hsgc_ != nullptr) {
-    ODNET_CHECK(state != nullptr);
-    return hsgc_->EmbedCities(*state, ids, shape);
-  }
-  return city_embed_->Forward(ids, shape);
+void RoleEncoder::PrepareInference() {
+  if (hsgc_ != nullptr) hsgc_->InferenceTables();
+}
+
+void RoleEncoder::InvalidateTables() {
+  if (hsgc_ != nullptr) hsgc_->InvalidateTables();
 }
 
 Tensor RoleEncoder::Forward(const data::TaskBatch& batch) {
   const int64_t b = batch.batch;
   ODNET_CHECK_GT(b, 0);
-  Hsgc::State state;
-  if (hsgc_ != nullptr) state = hsgc_->Forward();
-  const Hsgc::State* sp = hsgc_ != nullptr ? &state : nullptr;
 
-  // Spatial semantic embeddings of every id-typed input (Fig. 3's e^X_*).
-  Tensor e_user = hsgc_ != nullptr ? hsgc_->EmbedUsers(state, batch.user_ids)
-                                   : user_embed_->Forward(batch.user_ids);
-  Tensor e_lbs = EmbedCitySeq(sp, batch.current_city, {b});
-  Tensor e_cand = EmbedCitySeq(sp, batch.candidate, {b});
-  Tensor e_long = EmbedCitySeq(sp, batch.long_seq, {b, batch.t_long});
-  Tensor e_short = EmbedCitySeq(sp, batch.short_seq, {b, batch.t_short});
+  // Spatial semantic embeddings of every id-typed input (Fig. 3's e^X_*):
+  // the user's, then four gathers from one city table.
+  Tensor e_user;
+  Tensor cities;  // [num_cities, d]
+  if (hsgc_ == nullptr) {
+    e_user = user_embed_->Forward(batch.user_ids);
+    cities = city_embed_->table();
+  } else if (tensor::GradModeEnabled()) {
+    Hsgc::State state = hsgc_->Forward();
+    e_user = hsgc_->EmbedUsers(state, batch.user_ids);
+    cities = state.city_levels.back();
+  } else {
+    const Hsgc::Tables& tables = hsgc_->InferenceTables();
+    e_user = tensor::EmbeddingLookup(tables.users, batch.user_ids, {b});
+    cities = tables.cities;
+  }
+  Tensor e_lbs = tensor::EmbeddingLookup(cities, batch.current_city, {b});
+  Tensor e_cand = tensor::EmbeddingLookup(cities, batch.candidate, {b});
+  Tensor e_long =
+      tensor::EmbeddingLookup(cities, batch.long_seq, {b, batch.t_long});
+  Tensor e_short =
+      tensor::EmbeddingLookup(cities, batch.short_seq, {b, batch.t_short});
 
   // PEC: the attention-focused user preference vector v_L.
   Tensor v_l = pec_.Forward(e_long, batch.long_pad, e_short, batch.short_pad);
@@ -123,8 +133,14 @@ Tensor OdnetModel::Loss(const data::OdBatch& batch) {
                      tensor::Mul(one_minus, loss_d));
 }
 
+void OdnetModel::PrepareInference() {
+  origin_encoder_.PrepareInference();
+  destination_encoder_.PrepareInference();
+}
+
 std::pair<std::vector<double>, std::vector<double>> OdnetModel::Predict(
     const data::OdBatch& batch) {
+  PrepareInference();
   tensor::NoGradGuard guard;
   // Op results lease from the thread's arena for the duration of the call;
   // the probabilities are copied out before the scope resets it.
@@ -181,6 +197,9 @@ void PublishMemoryPlanStats(const tensor::MemoryPlanStats& m) {
 
 std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
     const data::OdBatch& batch) {
+  // Before the plan lookup: a recompute must not be recorded into a
+  // capture, and a replay reads the tables without running Forward.
+  PrepareInference();
   const std::string sig = ShapeSignature(batch);
   auto it = serving_plans_.find(sig);
   if (it == serving_plans_.end()) {
@@ -221,7 +240,11 @@ std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
   return {std::move(po), std::move(pd)};
 }
 
-void OdnetModel::InvalidateServingPlans() { serving_plans_.clear(); }
+void OdnetModel::InvalidateServingPlans() {
+  serving_plans_.clear();
+  origin_encoder_.InvalidateTables();
+  destination_encoder_.InvalidateTables();
+}
 
 void OdnetModel::SeedSampleStreams(uint64_t seed) {
   // Distinct sub-stream per role so the two encoders never sample from the

@@ -34,20 +34,27 @@ class RoleEncoder : public nn::Module {
               graph::Metapath rho, int64_t num_users, int64_t num_cities,
               const OdnetConfig& config, util::Rng* rng);
 
-  /// Encodes a role-view batch into q: [B, q_dim()].
+  /// Encodes a role-view batch into q: [B, q_dim()]. With the tape on
+  /// (training) the HSGC runs Algorithm 1 over this pass's neighbor
+  /// samples; without it (inference) the ids gather from the HSGC's
+  /// inference tables.
   tensor::Tensor Forward(const data::TaskBatch& batch);
 
-  /// Reseeds the HSGC neighbor-sampling stream (no-op without an HSGC).
+  /// Brings the HSGC inference tables up to date with the weights (no-op
+  /// without an HSGC). A served plan gathers from the tables without
+  /// running Forward, so it must be called before every capture or replay.
+  void PrepareInference();
+
+  /// Makes the next inference recompute the HSGC tables.
+  void InvalidateTables();
+
+  /// Reseeds the HSGC training sampling stream (no-op without an HSGC).
   void SeedSampleStream(uint64_t seed);
 
   /// 4 embeddings of width d plus the temporal-statistics block.
   int64_t q_dim() const;
 
  private:
-  tensor::Tensor EmbedCitySeq(const Hsgc::State* state,
-                              const std::vector<int64_t>& ids,
-                              const tensor::Shape& shape) const;
-
   OdnetConfig config_;
   int64_t d_;
   std::unique_ptr<Hsgc> hsgc_;                 // present iff use_hsgc
@@ -80,7 +87,9 @@ class OdnetModel : public nn::Module {
 
   /// Inference (no tape): per-sample (p_O, p_D) probabilities. Eager, with
   /// op results leased from the thread's BufferArena for the duration of
-  /// the call.
+  /// the call. The HSGC embeddings come from tables computed once per
+  /// weights version (Hsgc::InferenceTables), so a row's scores depend only
+  /// on the row and the weights, not on the batch or on earlier calls.
   std::pair<std::vector<double>, std::vector<double>> Predict(
       const data::OdBatch& batch);
 
@@ -107,10 +116,11 @@ class OdnetModel : public nn::Module {
     return serving_plan_stats_;
   }
 
-  /// Drops all captured serving plans (next batches re-capture).
+  /// Drops all captured serving plans (next batches re-capture) and makes
+  /// the next inference recompute the HSGC tables.
   void InvalidateServingPlans();
 
-  /// Reseeds both role encoders' HSGC sampling streams as a deterministic
+  /// Reseeds both role encoders' HSGC training streams as a deterministic
   /// function of `seed` (distinct sub-streams per role). Data-parallel
   /// trainer workers call this on their replica before each batch slice so
   /// neighbor sampling is a function of (epoch, step, slice) alone. No-op
@@ -123,6 +133,9 @@ class OdnetModel : public nn::Module {
   const OdnetConfig& config() const { return config_; }
 
  private:
+  /// Refreshes both encoders' HSGC tables (RoleEncoder::PrepareInference).
+  void PrepareInference();
+
   /// One cached serving plan: the plan plus the bound batch object its host
   /// closures point at (unique_ptr for address stability across map ops).
   struct ServingPlan {

@@ -20,9 +20,8 @@ inline constexpr size_t kScoreChunkSize = 256;
 /// The parallel path is taken only when all of the following hold:
 ///  - `method->ThreadSafeScore()` is true (per-sample purity contract, see
 ///    OdRecommender); methods with shared mutable scoring state — e.g. the
-///    ODNET recommender, whose forward pass draws from the HSGC neighbor
-///    sampling RNG — always take the monolithic path, and parallelize
-///    internally through the tensor backend instead;
+///    ODNET recommender, whose serving plans replay over one bound batch
+///    each — always take the monolithic path;
 ///  - the compute context has more than one thread;
 ///  - there are more rows than one chunk.
 ///

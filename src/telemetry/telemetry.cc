@@ -1,6 +1,7 @@
 #include "src/telemetry/telemetry.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,8 @@
 #include <fstream>
 #include <unordered_map>
 #include <utility>
+
+#include "src/util/logging.h"
 
 namespace odnet {
 namespace telemetry {
@@ -20,6 +23,13 @@ int64_t SteadyNowNs() {
       .count();
 }
 
+// Its own static rather than an ActivationState field, so a log line
+// (which may stamp the time) can be written while that state is built.
+int64_t StartNs() {
+  static const int64_t start = SteadyNowNs();
+  return start;
+}
+
 // ---------------------------------------------------------------------------
 // Activation: env flags read once, cached in atomics; exit hooks registered
 // when the env asked for an export.
@@ -30,13 +40,12 @@ void FlushAtExit();
 struct ActivationState {
   std::atomic<bool> enabled{false};
   std::atomic<bool> trace{false};
-  int64_t start_ns = 0;
   std::string trace_file = "odnet_trace.json";
   std::string metrics_file;  // empty: no metrics export at exit
-  size_t ring_capacity = 65536;
+  size_t ring_capacity = kDefaultTraceBufferEvents;
 
   ActivationState() {
-    start_ns = SteadyNowNs();
+    StartNs();
     const char* trace_env = std::getenv("ODNET_TRACE");
     if (trace_env != nullptr && trace_env[0] != '\0' &&
         std::string(trace_env) != "0") {
@@ -52,9 +61,16 @@ struct ActivationState {
         enabled.store(true, std::memory_order_relaxed);
       }
     }
-    if (const char* c = std::getenv("ODNET_TRACE_BUFFER_EVENTS")) {
-      const long v = std::strtol(c, nullptr, 10);
-      if (v > 0) ring_capacity = static_cast<size_t>(v);
+    const char* c = std::getenv("ODNET_TRACE_BUFFER_EVENTS");
+    if (c != nullptr && c[0] != '\0') {
+      util::Result<int64_t> parsed = ParseTraceBufferEvents(c);
+      if (parsed.ok()) {
+        ring_capacity = static_cast<size_t>(parsed.value());
+      } else {
+        ODNET_LOG_ERROR << "ODNET_TRACE_BUFFER_EVENTS: "
+                        << parsed.status().message() << "; using "
+                        << ring_capacity << " events";
+      }
     }
     if (trace.load(std::memory_order_relaxed) || !metrics_file.empty()) {
       std::atexit(FlushAtExit);
@@ -88,7 +104,24 @@ void FlushAtExit() {
 }  // namespace
 
 int64_t NowNs() { return SteadyNowNs(); }
-int64_t ProcessStartNs() { return State().start_ns; }
+int64_t ProcessStartNs() { return StartNs(); }
+
+util::Result<int64_t> ParseTraceBufferEvents(const std::string& text) {
+  // Decimal digits only: no blanks, sign or suffix, and few enough that the
+  // value cannot overflow before the range check.
+  const bool digits =
+      !text.empty() && text.size() <= 18 &&
+      std::all_of(text.begin(), text.end(), [](char ch) {
+        return std::isdigit(static_cast<unsigned char>(ch)) != 0;
+      });
+  const int64_t value = digits ? std::stoll(text) : 0;
+  if (value < 1 || value > kMaxTraceBufferEvents) {
+    return util::Status::InvalidArgument(
+        "expected an integer in [1, " + std::to_string(kMaxTraceBufferEvents) +
+        "], got \"" + text + "\"");
+  }
+  return value;
+}
 
 bool Enabled() { return State().enabled.load(std::memory_order_relaxed); }
 bool TraceEnabled() { return State().trace.load(std::memory_order_relaxed); }

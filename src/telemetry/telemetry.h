@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/status.h"
+
 namespace odnet {
 namespace telemetry {
 
@@ -31,6 +33,8 @@ namespace telemetry {
 //  - ODNET_TRACE_FILE=path   trace output path (default odnet_trace.json).
 //  - ODNET_METRICS_JSON=path enable timed instrumentation and write the
 //                            registry snapshot to `path` at process exit.
+//  - ODNET_TRACE_BUFFER_EVENTS=n  spans kept per thread (the most recent
+//                            n); see ParseTraceBufferEvents.
 // Tests/benches can flip the flags programmatically instead.
 
 // ---------------------------------------------------------------------------
@@ -42,6 +46,18 @@ int64_t NowNs();
 
 /// NowNs() at first telemetry use; trace timestamps are relative to this.
 int64_t ProcessStartNs();
+
+/// Spans each thread's trace ring keeps by default, and at most (a ring
+/// reserves its whole capacity, 32 bytes an event, when its thread first
+/// records a span).
+inline constexpr int64_t kDefaultTraceBufferEvents = 65536;
+inline constexpr int64_t kMaxTraceBufferEvents = int64_t{1} << 20;
+
+/// Parses an ODNET_TRACE_BUFFER_EVENTS value: decimal digits only, in
+/// [1, kMaxTraceBufferEvents]. Anything else (blanks, a sign, a suffix, 0,
+/// too large) is InvalidArgument; the variable then logs an error and the
+/// default stays.
+util::Result<int64_t> ParseTraceBufferEvents(const std::string& text);
 
 // ---------------------------------------------------------------------------
 // Activation flags

@@ -19,7 +19,6 @@ namespace {
 
 struct RecNode {
   ReplayKernel kernel;           // op node
-  std::function<void()> host;    // host-stage node
   std::vector<int> ins;
   int out = -1;
   bool zero_out = false;
@@ -142,17 +141,6 @@ void NoteHostData() {
 
 }  // namespace capture
 
-void PlanHostStage(std::function<void()> stage) {
-  ODNET_CHECK(stage != nullptr);
-  stage();
-  Recorder* rec = g_recorder;
-  if (rec == nullptr) return;
-  RecNode node;
-  node.host = std::move(stage);
-  node.name = "HostStage";
-  rec->nodes.push_back(std::move(node));
-}
-
 // ---------------------------------------------------------------------------
 // Inference-plan construction (liveness-based memory plan)
 // ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ class PlanBuilder {
                                           const std::vector<Tensor>& inputs) {
     std::shared_ptr<GraphPlan> plan(new GraphPlan());
     // Kernels that close over host state (HostTensor fills, Dropout mask
-    // redraws) share that state exactly like explicit host stages do.
+    // redraws) make the plan serial.
     plan->has_host_stages_ = rec->host_data;
     const int nv = static_cast<int>(rec->values.size());
     const int nn = static_cast<int>(rec->nodes.size());
@@ -218,14 +206,6 @@ class PlanBuilder {
     size_t max_ins = 0;
     for (int i = 0; i < nn; ++i) {
       const RecNode& rnode = rec->nodes[static_cast<size_t>(i)];
-      if (rnode.host) {
-        GraphPlan::Node pnode;
-        pnode.host = rnode.host;
-        pnode.name = "HostStage";
-        plan->nodes_.push_back(std::move(pnode));
-        plan->has_host_stages_ = true;
-        continue;
-      }
       if (rnode.alias_of >= 0) continue;  // no execution, no buffer
 
       const int ov = canon[static_cast<size_t>(rnode.out)];
@@ -287,9 +267,7 @@ class PlanBuilder {
       }
     }
 
-    for (const GraphPlan::Node& n : plan->nodes_) {
-      if (n.kernel) ++plan->stats_.num_nodes;
-    }
+    plan->stats_.num_nodes = static_cast<int64_t>(plan->nodes_.size());
     plan->stats_.num_buffers = static_cast<int64_t>(plan->slot_sizes_.size());
     for (int64_t sz : plan->slot_sizes_) {
       plan->stats_.peak_bytes += sz * static_cast<int64_t>(sizeof(float));
@@ -401,10 +379,6 @@ const std::vector<Tensor>& GraphPlan::ReplayOn(
   for (const Node& node : nodes_) {
     telemetry::SpanScope node_span(node.name != nullptr ? node.name : "Node",
                                    "plan.node");
-    if (node.host) {
-      node.host();
-      continue;
-    }
     for (size_t j = 0; j < node.ins.size(); ++j) {
       buffers->scratch_[j] = Resolve(node.ins[j], *buffers);
     }

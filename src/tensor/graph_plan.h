@@ -24,18 +24,14 @@ namespace tensor {
 // identical to eager execution: the recorded kernels are the very closures
 // the eager op ran (they re-consult the thread's Backend and the
 // ComputeContext pool at execution time), node order equals eager op order,
-// and host stages (neighbor sampling, batch copies, dropout mask draws)
-// re-run in record order so RNG streams advance exactly as they would
-// eagerly.
+// and host work (batch copies, dropout mask draws) re-runs in record order
+// so RNG streams advance exactly as they would eagerly.
 //
-// Host data flows through two capture-aware primitives:
-//  - HostTensor(shape, fill) (ops.h): a tensor whose contents are produced
-//    by a host closure; replay re-runs the closure into the same buffer.
-//  - PlanHostStage(fn): an arbitrary host closure (e.g. neighbor
-//    re-sampling into stable workspace vectors) recorded as a node.
-// Both capture *object* addresses (members, bound-batch fields) that the
-// consumer guarantees stable across replays — never raw data pointers of
-// temporaries.
+// Host data flows through HostTensor(shape, fill) (ops.h): a tensor whose
+// contents are produced by a host closure; replay re-runs the closure into
+// the same buffer. The closure captures *object* addresses (bound-batch
+// fields) that the consumer guarantees stable across replays — never raw
+// data pointers of temporaries.
 
 /// Operand pointers resolved for one node at replay time: `in[i]` is the
 /// i-th recorded input's buffer, `out` the node's output buffer.
@@ -74,20 +70,14 @@ void NoteTensorCreated();
 
 /// Marks the active capture (if any) as touching host state from inside a
 /// replay kernel (HostTensor fills, Dropout mask redraws). Such plans
-/// report has_host_stages() and must be replayed serially, exactly like
-/// plans with explicit PlanHostStage nodes.
+/// report has_host_stages() and must be replayed serially.
 void NoteHostData();
 
 }  // namespace capture
 
-/// Runs `stage` immediately and, when a capture is active, records it as a
-/// host-stage node replayed (in record order) before the downstream op
-/// nodes. Everything `stage` captures must outlive the plan.
-void PlanHostStage(std::function<void()> stage);
-
 /// Liveness-based memory-plan statistics of an inference GraphPlan.
 struct MemoryPlanStats {
-  int64_t num_nodes = 0;        // replayable op nodes (excl. aliases/host)
+  int64_t num_nodes = 0;        // replayable op nodes (excl. aliases)
   int64_t num_values = 0;       // intermediate values needing a buffer
   int64_t num_buffers = 0;      // physical buffers after liveness reuse
   int64_t requested_bytes = 0;  // sum of all intermediate value sizes
@@ -108,8 +98,9 @@ struct MemoryPlanStats {
 /// Replay() uses the plan's own buffer set and is single-threaded per plan;
 /// for concurrent replay of a *shared* plan, give each thread its own
 /// Buffers via NewBuffers()/ReplayOn() — safe only for pure-tensor plans
-/// (plans with host stages share whatever host state the stages touch, and
-/// must be replayed serially; the ODNET serving plan is in that class).
+/// (plans with host stages share whatever host state their HostTensor and
+/// Dropout kernels touch, and must be replayed serially; the ODNET serving
+/// plan reads its bound batch that way).
 class GraphPlan {
  public:
   /// Per-executor buffer set: the planned physical buffers (arena-backed),
@@ -178,14 +169,13 @@ class GraphPlan {
     int index = 0;
   };
   struct Node {
-    ReplayKernel kernel;          // null for host stages
-    std::function<void()> host;   // null for op nodes
+    ReplayKernel kernel;
     std::vector<ValueRef> ins;
     int out_slot = -1;
     int64_t out_numel = 0;
     bool zero_out = false;
     // Op name active when the node was recorded (string literal from the
-    // op's telemetry scope; null for host stages). Names replay spans.
+    // op's telemetry scope). Names replay spans.
     const char* name = nullptr;
   };
   struct OutputRef {

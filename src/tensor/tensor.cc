@@ -107,7 +107,13 @@ const float* Tensor::data() const {
 
 float* Tensor::mutable_data() {
   ODNET_CHECK(defined());
+  ++impl_->version;
   return impl_->data().data();
+}
+
+uint64_t Tensor::version() const {
+  ODNET_CHECK(defined());
+  return impl_->version;
 }
 
 const std::vector<float>& Tensor::vec() const {
@@ -197,6 +203,7 @@ void Tensor::AliasStorageOf(const Tensor& src) {
       << ShapeToString(src.shape());
   impl_->storage = src.impl_->storage;
   impl_->lease = src.impl_->lease;
+  ++impl_->version;
 }
 
 Tensor Tensor::Clone() const {

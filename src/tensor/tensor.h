@@ -41,6 +41,10 @@ struct TensorImpl {
   std::vector<float> grad;  // same size as data once touched by backward
   bool requires_grad = false;
   uint64_t id = 0;  // creation order; used for deterministic topo sort
+  // Bumped by Tensor::mutable_data() and Tensor::AliasStorageOf(): a cache
+  // derived from the values (the HSGC inference tables) is stale once it
+  // moves.
+  uint64_t version = 0;
 
   // Autograd tape. `backward_fn` distributes `grad` into parents' grads.
   std::vector<std::shared_ptr<TensorImpl>> parents;
@@ -179,8 +183,14 @@ class Tensor {
   int64_t numel() const { return Numel(shape()); }
 
   const float* data() const;
+  /// Writable values; counts as a write (bumps version()).
   float* mutable_data();
   const std::vector<float>& vec() const;
+
+  /// Writes through this handle so far: mutable_data() and
+  /// AliasStorageOf() calls. Equal versions mean unchanged values, unless
+  /// the storage was written through another handle.
+  uint64_t version() const;
 
   /// Value of a rank-0 or single-element tensor.
   float item() const;

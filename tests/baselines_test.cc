@@ -1,5 +1,9 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/baselines/gbdt.h"
@@ -338,6 +342,68 @@ TEST(OdnetRecommenderTest, CombinedScoreUsesTheta) {
   OdScore s{0.8, 0.2};
   double t = method.theta();
   EXPECT_NEAR(method.CombinedScore(s), t * 0.8 + (1 - t) * 0.2, 1e-12);
+}
+
+// ------------------------------------------------------- pure scoring --
+
+// Scores `rows` by `method` in chunks of `chunk` rows after shuffling them;
+// returns the scores in the original row order.
+std::vector<OdScore> ScoreShuffledInChunks(
+    OdRecommender* method, const data::OdDataset& dataset,
+    const std::vector<data::Sample>& rows, size_t chunk, uint64_t seed) {
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  util::Rng rng(seed);
+  rng.Shuffle(&order);
+  std::vector<OdScore> out(rows.size());
+  for (size_t begin = 0; begin < order.size(); begin += chunk) {
+    const size_t end = std::min(begin + chunk, order.size());
+    std::vector<data::Sample> part;
+    for (size_t i = begin; i < end; ++i) part.push_back(rows[order[i]]);
+    const std::vector<OdScore> scores = method->Score(dataset, part);
+    for (size_t i = begin; i < end; ++i) out[order[i]] = scores[i - begin];
+  }
+  return out;
+}
+
+// With the HSGC's inference tables a row's score depends only on the row
+// and the weights: shuffled and re-chunked rows score bitwise as in one
+// call (which runs in 128-row batches and a ragged tail).
+void ExpectRechunkedRowsScoreLikeOneCall(OdRecommender* method) {
+  Fixture& f = SharedFixture();
+  ASSERT_TRUE(method->Fit(f.dataset).ok());
+  const size_t n = std::min<size_t>(300, f.dataset.test_samples.size());
+  const std::vector<data::Sample> rows(f.dataset.test_samples.begin(),
+                                       f.dataset.test_samples.begin() + n);
+  const std::vector<OdScore> whole = method->Score(f.dataset, rows);
+  for (size_t chunk : {size_t{1}, size_t{7}, size_t{59}, size_t{128}}) {
+    const std::vector<OdScore> got =
+        ScoreShuffledInChunks(method, f.dataset, rows, chunk, 1000 + chunk);
+    for (size_t i = 0; i < n; ++i) {
+      if (got[i].p_o != whole[i].p_o || got[i].p_d != whole[i].p_d) {
+        ADD_FAILURE() << method->name() << " chunks of " << chunk << ", row "
+                      << i << ": (" << got[i].p_o << ", " << got[i].p_d
+                      << ") vs one call (" << whole[i].p_o << ", "
+                      << whole[i].p_d << ")";
+        break;
+      }
+    }
+  }
+}
+
+TEST(PureScoringTest, OdnetRechunkedRowsScoreLikeOneCall) {
+  core::OdnetConfig config;
+  config.epochs = 1;
+  OdnetRecommender method("ODNET", &SharedFixture().simulator.atlas(),
+                          config);
+  ExpectRechunkedRowsScoreLikeOneCall(&method);
+}
+
+TEST(PureScoringTest, StlWithGraphRechunkedRowsScoreLikeOneCall) {
+  SingleTaskConfig config;
+  config.epochs = 1;
+  StlRecommender method(config, /*use_hsgc=*/true, SharedFixture().locations);
+  ExpectRechunkedRowsScoreLikeOneCall(&method);
 }
 
 }  // namespace

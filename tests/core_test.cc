@@ -1,5 +1,8 @@
 #include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/hsg_builder.h"
@@ -10,6 +13,7 @@
 #include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
+#include "src/nn/serialization.h"
 #include "src/optim/optimizer.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tensor/buffer_arena.h"
@@ -304,8 +308,7 @@ TEST(OdnetModelTest, PredictIsDeterministicUnderNoGrad) {
   Fixture& f = SharedFixture();
   OdnetConfig config;
   config.epochs = 1;
-  config.use_hsgc = false;  // HSGC resamples neighbors per pass
-  OdnetModel model(nullptr, f.dataset.num_users, f.dataset.num_cities,
+  OdnetModel model(f.hsg.get(), f.dataset.num_users, f.dataset.num_cities,
                    config);
   data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
                              data::SequenceSpec{config.t_long,
@@ -317,6 +320,107 @@ TEST(OdnetModelTest, PredictIsDeterministicUnderNoGrad) {
     EXPECT_DOUBLE_EQ(po1[i], po2[i]);
     EXPECT_DOUBLE_EQ(pd1[i], pd2[i]);
   }
+}
+
+using Scores = std::pair<std::vector<double>, std::vector<double>>;
+
+// `model`'s planned scores of `batch`, checked against its eager ones.
+Scores ScoreBoth(OdnetModel* model, const data::OdBatch& batch) {
+  const Scores planned = model->PredictPlanned(batch);
+  const Scores eager = model->Predict(batch);
+  EXPECT_EQ(planned, eager);
+  return planned;
+}
+
+// A checkpoint path of the running test's own (ctest runs tests in
+// parallel processes).
+std::string CheckpointPath(const std::string& stem) {
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "." + stem + ".ckpt";
+}
+
+// Scores of `batch` by a model built fresh and loaded with `model`'s
+// current weights.
+Scores ScoreWithFreshCopy(const OdnetModel& model, const data::OdBatch& batch) {
+  Fixture& f = SharedFixture();
+  const std::string path = CheckpointPath("fresh_copy");
+  EXPECT_TRUE(nn::SaveParameters(model, path).ok());
+  OdnetModel fresh(f.hsg.get(), f.dataset.num_users, f.dataset.num_cities,
+                   model.config());
+  EXPECT_TRUE(nn::LoadParameters(&fresh, path).ok());
+  return ScoreBoth(&fresh, batch);
+}
+
+TEST(OdnetModelTest, RestoredCheckpointPredictsLikeTrainedModel) {
+  Fixture& f = SharedFixture();
+  OdnetConfig config;
+  config.epochs = 1;
+  OdnetModel trained(f.hsg.get(), f.dataset.num_users, f.dataset.num_cities,
+                     config);
+  OdnetTrainer trainer(&trained, &f.dataset, f.temporal.get());
+  trainer.Train();
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  for (size_t start : {size_t{0}, size_t{16}}) {
+    const data::OdBatch batch =
+        encoder.EncodeJoint(f.dataset.test_samples, start, start + 16);
+    EXPECT_EQ(ScoreWithFreshCopy(trained, batch), ScoreBoth(&trained, batch))
+        << "batch at " << start;
+  }
+}
+
+TEST(OdnetModelTest, ScoresFollowWeightChangesLikeAFreshModel) {
+  // Each step rewrites the weights after the model has built its HSGC
+  // tables and captured a plan; its scores must then equal those of a
+  // model built fresh with the new weights.
+  Fixture& f = SharedFixture();
+  OdnetConfig config;
+  config.epochs = 1;
+  OdnetModel model(f.hsg.get(), f.dataset.num_users, f.dataset.num_cities,
+                   config);
+  OdnetTrainer trainer(&model, &f.dataset, f.temporal.get());
+  trainer.Train();
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  const data::OdBatch batch =
+      encoder.EncodeJoint(f.dataset.test_samples, 0, 16);
+  const Scores trained = ScoreBoth(&model, batch);
+  EXPECT_EQ(trained, ScoreWithFreshCopy(model, batch));
+
+  trainer.Train();  // a further training run
+  const Scores retrained = ScoreBoth(&model, batch);
+  EXPECT_NE(retrained, trained);
+  EXPECT_EQ(retrained, ScoreWithFreshCopy(model, batch));
+
+  OdnetConfig other_config = config;
+  other_config.seed = config.seed + 1;  // other initial weights
+  OdnetModel other(f.hsg.get(), f.dataset.num_users, f.dataset.num_cities,
+                   other_config);
+  const std::string path = CheckpointPath("other");
+  ASSERT_TRUE(nn::SaveParameters(other, path).ok());
+  ASSERT_TRUE(nn::LoadParameters(&model, path).ok());
+  const Scores loaded = ScoreBoth(&model, batch);
+  EXPECT_NE(loaded, retrained);
+  EXPECT_EQ(loaded, ScoreWithFreshCopy(model, batch));
+
+  // A write through another handle on the same storage leaves the weights
+  // version alone; InvalidateServingPlans() is the lever for it.
+  Tensor features;
+  for (const auto& [name, t] : model.NamedParameters()) {
+    if (name == "origin_encoder.hsgc.city_features.table") features = t;
+  }
+  ASSERT_TRUE(features.defined());
+  Tensor alias = Tensor::Zeros(features.shape());
+  alias.AliasStorageOf(features);
+  float* values = alias.mutable_data();
+  for (int64_t i = 0; i < alias.numel(); ++i) values[i] *= 2.0f;
+  model.InvalidateServingPlans();
+  const Scores invalidated = ScoreBoth(&model, batch);
+  EXPECT_NE(invalidated, loaded);
+  EXPECT_EQ(invalidated, ScoreWithFreshCopy(model, batch));
 }
 
 // Parameterized: the model trains at every paper-relevant depth/head combo.

@@ -23,6 +23,9 @@
 #include "gtest/gtest.h"
 #include "src/baselines/gbdt.h"
 #include "src/baselines/most_pop.h"
+#include "src/baselines/odnet_recommender.h"
+#include "src/baselines/stl_variants.h"
+#include "src/core/hsg_builder.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/serving/feature_cache.h"
 #include "src/serving/ranking_service.h"
@@ -78,6 +81,32 @@ baselines::GbdtRecommender& FittedGbdt() {
     config.num_trees = 8;
     config.max_depth = 2;
     auto* m = new baselines::GbdtRecommender(config);
+    EXPECT_TRUE(m->Fit(SharedFixture().dataset).ok());
+    return m;
+  }();
+  return *method;
+}
+
+// ODNET and STL+G (both with the HSGC), one epoch each.
+baselines::OdnetRecommender& FittedOdnet() {
+  static baselines::OdnetRecommender* method = [] {
+    core::OdnetConfig config;
+    config.epochs = 1;
+    auto* m = new baselines::OdnetRecommender(
+        "ODNET", &SharedFixture().simulator.atlas(), config);
+    EXPECT_TRUE(m->Fit(SharedFixture().dataset).ok());
+    return m;
+  }();
+  return *method;
+}
+
+baselines::StlRecommender& FittedStlWithGraph() {
+  static baselines::StlRecommender* method = [] {
+    baselines::SingleTaskConfig config;
+    config.epochs = 1;
+    auto* m = new baselines::StlRecommender(
+        config, /*use_hsgc=*/true,
+        core::AtlasLocations(SharedFixture().simulator.atlas()));
     EXPECT_TRUE(m->Fit(SharedFixture().dataset).ok());
     return m;
   }();
@@ -260,6 +289,20 @@ TEST(ServingRouterDifferentialTest, MostPopBatchedEqualsSerialOracle) {
 
 TEST(ServingRouterDifferentialTest, GbdtBatchedEqualsSerialOracle) {
   RunDifferential(&FittedGbdt(), 5678);
+}
+
+// ODNET and STL+G keep ThreadSafeScore() false, so every router config runs
+// them on one worker, one request per Score call. The oracle's calls all
+// come first, so the routed scores match only if a score depends on its
+// rows and the weights alone.
+TEST(ServingRouterDifferentialTest, OdnetSerialRouterEqualsSerialOracle) {
+  ASSERT_FALSE(FittedOdnet().ThreadSafeScore());
+  RunDifferential(&FittedOdnet(), 9012);
+}
+
+TEST(ServingRouterDifferentialTest, StlWithGraphSerialRouterEqualsSerialOracle) {
+  ASSERT_FALSE(FittedStlWithGraph().ThreadSafeScore());
+  RunDifferential(&FittedStlWithGraph(), 3456);
 }
 
 // --------------------------------------------------------- gate test prop --

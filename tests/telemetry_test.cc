@@ -344,6 +344,25 @@ TEST(ActivationTest, TraceImpliesEnabled) {
   SetTraceEnabled(was_tracing);
 }
 
+TEST(ActivationTest, TraceBufferEventsAcceptsOnlyAnIntegerInRange) {
+  for (const char* good : {"1", "65536", "1048576"}) {
+    util::Result<int64_t> parsed = ParseTraceBufferEvents(good);
+    ASSERT_TRUE(parsed.ok()) << good;
+    EXPECT_EQ(parsed.value(), std::stoll(good));
+  }
+  // "1000000000000" is the value whose ring reservation used to throw
+  // std::bad_alloc; "12x" used to be taken as 12.
+  for (const char* bad : {"", "abc", "0", "-5", "+5", " 12", "12 ", "12x",
+                          "0x10", "1048577", "1000000000000",
+                          "99999999999999999999"}) {
+    util::Result<int64_t> parsed = ParseTraceBufferEvents(bad);
+    ASSERT_FALSE(parsed.ok()) << "\"" << bad << "\"";
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(bad), std::string::npos)
+        << parsed.status().message();
+  }
+}
+
 TEST(SpanTest, SpansRecordOnlyWhenTracing) {
   SetTraceEnabled(false);
   const int64_t before = TraceEventCount();
